@@ -187,7 +187,7 @@ func main() {
 			// instant then recovers to this base plus the journaled
 			// sessions, instead of losing everything because no SIGTERM
 			// ever ran.
-			if err := coord.SaveSnapshots(*snapdir); err != nil {
+			if err := coord.Checkpoint(*snapdir); err != nil {
 				log.Fatalf("carserved: saving boot snapshot: %v", err)
 			}
 			log.Printf("carserved: saved boot snapshot (%d shard(s)) to %s", coord.N(), *snapdir)
@@ -279,7 +279,7 @@ func main() {
 		stopCkpt()
 	}
 	if *snapdir != "" {
-		if err := coord.SaveSnapshots(*snapdir); err != nil {
+		if err := coord.Checkpoint(*snapdir); err != nil {
 			// Not fatal: a quarantined shard refuses the checkpoint, and
 			// the journal already holds everything — the next boot replays
 			// it on top of the previous snapshot.
@@ -288,7 +288,7 @@ func main() {
 			log.Printf("carserved: saved %d shard snapshot(s) to %s", coord.N(), *snapdir)
 		}
 		// Closed after the snapshot: the journal outlives the dump, so a
-		// crash during SaveSnapshots still recovers sessions on reboot.
+		// crash during Checkpoint still recovers sessions on reboot.
 		if err := coord.CloseJournals(); err != nil {
 			log.Printf("carserved: closing session journals: %v", err)
 		}

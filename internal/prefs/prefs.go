@@ -37,7 +37,7 @@ func (r Rule) Validate() error {
 	if r.Context == nil || r.Preference == nil {
 		return fmt.Errorf("prefs: rule %s missing context or preference", r.Name)
 	}
-	if r.Sigma < 0 || r.Sigma > 1 {
+	if !(r.Sigma >= 0 && r.Sigma <= 1) { // also rejects NaN
 		return fmt.Errorf("prefs: rule %s has σ = %g outside [0,1]", r.Name, r.Sigma)
 	}
 	if r.Preference.Op() == dl.OpBottom {
@@ -116,11 +116,11 @@ func MustParseRule(input string) Rule {
 	return r
 }
 
-// cutKeyword strips a leading keyword (case-insensitive, word-aligned) and
-// returns the remainder.
+// cutKeyword strips a leading keyword (ASCII case-insensitive,
+// word-aligned) and returns the remainder.
 func cutKeyword(s, kw string) (string, bool) {
 	trimmed := strings.TrimSpace(s)
-	if len(trimmed) < len(kw) || !strings.EqualFold(trimmed[:len(kw)], kw) {
+	if !hasKeywordAt(trimmed, 0, kw) {
 		return s, false
 	}
 	rest := trimmed[len(kw):]
@@ -132,24 +132,46 @@ func cutKeyword(s, kw string) (string, bool) {
 
 // splitKeyword splits s at the first word-aligned occurrence of kw outside
 // any nesting-sensitive construct (the rule grammar has none, so a simple
-// word scan suffices).
+// word scan suffices). It scans s itself, so every offset indexes s.
 func splitKeyword(s, kw string) (before, after string, ok bool) {
-	upper := strings.ToUpper(s)
-	kwU := strings.ToUpper(kw)
-	for i := 0; i+len(kwU) <= len(upper); i++ {
-		if upper[i:i+len(kwU)] != kwU {
+	for i := 0; i+len(kw) <= len(s); i++ {
+		if !hasKeywordAt(s, i, kw) {
 			continue
 		}
 		if i > 0 && !isSpace(s[i-1]) {
 			continue
 		}
-		end := i + len(kwU)
+		end := i + len(kw)
 		if end < len(s) && !isSpace(s[end]) {
 			continue
 		}
 		return strings.TrimSpace(s[:i]), strings.TrimSpace(s[end:]), true
 	}
 	return "", "", false
+}
+
+// hasKeywordAt reports whether s holds the ASCII keyword kw at byte
+// offset i, comparing ASCII case-folded. Only ASCII letters fold, so a
+// non-ASCII byte never matches and offsets in s never shift (Unicode case
+// mapping changes byte lengths: "ı" and "ſ" upper-case to one-byte "I"
+// and "S").
+func hasKeywordAt(s string, i int, kw string) bool {
+	if i+len(kw) > len(s) {
+		return false
+	}
+	for k := 0; k < len(kw); k++ {
+		if upperASCII(s[i+k]) != upperASCII(kw[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+func upperASCII(b byte) byte {
+	if 'a' <= b && b <= 'z' {
+		return b - ('a' - 'A')
+	}
+	return b
 }
 
 func isSpace(b byte) bool { return b == ' ' || b == '\t' || b == '\n' || b == '\r' }

@@ -35,6 +35,13 @@ type Options struct {
 // operations to one of N Servers by consistent hash and broadcasts
 // vocabulary writes to all of them. The handler is written against this
 // interface so both serve the identical HTTP API.
+//
+// Both implementations turn each vocabulary write (Declare, Assert,
+// AddRules, RemoveRule, Exec) into one journal.Record and hand it to
+// Server.Apply — on every shard, under one broadcast id, for the
+// coordinator — which is also what WAL replay and quarantine repair call
+// with journaled records. Apply is the only code that maps a vocabulary
+// record to System calls.
 type Backend interface {
 	// Rank ranks target for user through the backend's cache(s).
 	Rank(user, target string, opts contextrank.RankOptions) ([]contextrank.Result, RankMeta, error)
@@ -83,26 +90,16 @@ type Backend interface {
 	Stats() Stats
 }
 
-// SubConceptDecl is one TBox axiom sub ⊑ super in a Declare call.
-type SubConceptDecl struct {
-	Sub   string
-	Super string
-}
+// SubConceptDecl is one TBox axiom sub ⊑ super in a Declare call. The
+// Backend write item types are the journal record's item types, so a
+// write goes into a journal.Record, and back out of one, unconverted.
+type SubConceptDecl = journal.SubDecl
 
 // ConceptAssertion is one concept-membership assertion in an Assert call.
-type ConceptAssertion struct {
-	Concept string
-	ID      string
-	Prob    float64
-}
+type ConceptAssertion = journal.ConceptAssert
 
 // RoleAssertion is one role-tuple assertion in an Assert call.
-type RoleAssertion struct {
-	Role string
-	Src  string
-	Dst  string
-	Prob float64
-}
+type RoleAssertion = journal.RoleAssert
 
 // Server is the complete serving layer: facade + sessions + rank cache +
 // statistics. It is safe for concurrent use by any number of goroutines.
@@ -460,178 +457,171 @@ func (s *Server) finishJournal(opErr error, wait func() error, rec journal.Recor
 	return nil
 }
 
-// Declare registers concepts, roles and subconcept axioms in one epoch.
-func (s *Server) Declare(concepts, roles []string, subs []SubConceptDecl) (int64, error) {
-	if err := s.health.checkWritable(); err != nil {
-		return 0, err
-	}
-	return s.DeclareTagged(0, concepts, roles, subs)
+// Applied is the outcome of Apply.
+type Applied struct {
+	Epoch  int64                    // facade epoch after the write
+	Added  []string                 // OpAddRules: names of the registered rules
+	Result *contextrank.QueryResult // OpExec: the statement's result
 }
 
-// DeclareTagged is Declare carrying a broadcast id (the shard coordinator
-// tags each broadcast write so every shard journals the same record with
-// the same BID; see journal.Record.BID). Items are applied one at a time
-// and the journal record holds exactly the applied prefix: on a mid-list
-// error the items already applied stay applied (the established
-// partial-mutation policy) and stay durable, while the failed item is
-// neither applied nor journaled — replay never re-fails.
-func (s *Server) DeclareTagged(bid uint64, concepts, roles []string, subs []SubConceptDecl) (int64, error) {
+// vocabOps names every vocabulary op Apply serves, as its "applied but
+// not journaled" errors spell it.
+var vocabOps = map[journal.Op]string{
+	journal.OpDeclare:    "declare",
+	journal.OpAssert:     "assert",
+	journal.OpAddRules:   "add rules",
+	journal.OpRemoveRule: "rule removal",
+	journal.OpExec:       "exec",
+}
+
+// Apply applies one vocabulary write record — OpDeclare, OpAssert,
+// OpAddRules, OpRemoveRule or OpExec — in one epoch and journals what it
+// applied under rec.BID. It is the only path from a vocabulary record to
+// the System: the Backend mutators build a record and apply it, WAL
+// replay and quarantine repair apply the journaled record, and the shard
+// coordinator applies one record on every shard under one broadcast id
+// (see journal.Record.BID).
+//
+// Items apply in order and the journal record holds exactly the applied
+// prefix: on a mid-list error the items already applied stay applied
+// (the established partial-mutation policy) and stay durable, while the
+// failed item is neither applied nor journaled — replay never re-fails.
+// A failed RemoveRule or Exec journals nothing; a failed statement's
+// partial effects, if any, are not re-created by replay, which is
+// acceptable because the client was told the statement failed.
+//
+// Apply does not check degraded mode: callers check before they commit
+// to a write (Server's Backend mutators per call, the shard coordinator
+// once across all shards before it assigns a broadcast id).
+func (s *Server) Apply(rec journal.Record) (Applied, error) {
+	what, ok := vocabOps[rec.Op]
+	if !ok {
+		return Applied{}, fmt.Errorf("serve: not a vocabulary record (op %d)", rec.Op)
+	}
+	var out Applied
 	var wait func() error
-	rec := journal.Record{Op: journal.OpDeclare, BID: bid}
+	done := journal.Record{Op: rec.Op, BID: rec.BID}
 	epoch, err := s.facade.WithWriteEpoch(func(sys *contextrank.System) error {
-		var opErr error
-		for _, c := range concepts {
-			if opErr = sys.DeclareConcept(c); opErr != nil {
-				break
-			}
-			rec.Concepts = append(rec.Concepts, c)
-		}
-		if opErr == nil {
-			for _, r := range roles {
-				if opErr = sys.DeclareRole(r); opErr != nil {
-					break
-				}
-				rec.Roles = append(rec.Roles, r)
-			}
-		}
-		if opErr == nil {
-			for _, sc := range subs {
-				if opErr = sys.SubConcept(sc.Sub, sc.Super); opErr != nil {
-					break
-				}
-				rec.Subs = append(rec.Subs, journal.SubDecl{Sub: sc.Sub, Super: sc.Super})
-			}
-		}
-		if len(rec.Concepts)+len(rec.Roles)+len(rec.Subs) > 0 {
+		applied, opErr := s.applyLocked(sys, rec, &done, &out)
+		if applied {
 			if j := s.sessions.Journal(); j != nil {
-				rec.Epoch = s.facade.Epoch()
-				wait = j.Submit(rec)
+				done.Epoch = s.facade.Epoch()
+				wait = j.Submit(done)
 			}
 		}
 		return opErr
 	})
 	s.pokeSubs() // a partial apply still moved the epoch
-	return epoch, s.finishJournal(err, wait, rec, "declare")
+	out.Epoch = epoch
+	return out, s.finishJournal(err, wait, done, what)
+}
+
+// applyLocked is Apply's body under the facade write lock: it applies
+// rec's items in order, copies each applied item into done, and reports
+// whether anything was applied (and so must be journaled).
+func (s *Server) applyLocked(sys *contextrank.System, rec journal.Record, done *journal.Record, out *Applied) (bool, error) {
+	switch rec.Op {
+	case journal.OpDeclare:
+		err := applyPrefix(rec.Concepts, &done.Concepts, func(c string) error { return sys.DeclareConcept(c) })
+		if err == nil {
+			err = applyPrefix(rec.Roles, &done.Roles, func(r string) error { return sys.DeclareRole(r) })
+		}
+		if err == nil {
+			err = applyPrefix(rec.Subs, &done.Subs, func(sc SubConceptDecl) error { return sys.SubConcept(sc.Sub, sc.Super) })
+		}
+		return len(done.Concepts)+len(done.Roles)+len(done.Subs) > 0, err
+	case journal.OpAssert:
+		// A concept that is currently session-context vocabulary is
+		// refused: the next context apply would clear the assertion. The
+		// check runs inside the write critical section, where session
+		// applies also hold the lock, so there is no TOCTOU window.
+		err := applyPrefix(rec.ConceptAsserts, &done.ConceptAsserts, func(a ConceptAssertion) error {
+			if s.sessions.IsSessionConcept(a.Concept) {
+				return fmt.Errorf(
+					"serve: concept %q is session-context vocabulary; the next context apply would clear the assertion — manage it via /v1/sessions instead", a.Concept)
+			}
+			return sys.AssertConcept(a.Concept, a.ID, a.Prob)
+		})
+		if err == nil {
+			err = applyPrefix(rec.RoleAsserts, &done.RoleAsserts, func(a RoleAssertion) error {
+				return sys.AssertRole(a.Role, a.Src, a.Dst, a.Prob)
+			})
+		}
+		return len(done.ConceptAsserts)+len(done.RoleAsserts) > 0, err
+	case journal.OpAddRules:
+		err := applyPrefix(rec.Rules, &done.Rules, func(text string) error {
+			rule, err := sys.AddRule(text)
+			if err == nil {
+				out.Added = append(out.Added, rule.Name)
+			}
+			return err
+		})
+		return len(done.Rules) > 0, err
+	case journal.OpRemoveRule:
+		if err := sys.Rules().Remove(rec.Rule); err != nil {
+			return false, err
+		}
+		done.Rule = rec.Rule
+		return true, nil
+	default: // journal.OpExec
+		res, err := sys.Exec(rec.Stmt)
+		out.Result = res
+		if err != nil {
+			return false, err
+		}
+		done.Stmt = rec.Stmt
+		return true, nil
+	}
+}
+
+// applyPrefix applies items in order, appending each applied one to
+// *done, and stops at the first error.
+func applyPrefix[T any](items []T, done *[]T, apply func(T) error) error {
+	for _, it := range items {
+		if err := apply(it); err != nil {
+			return err
+		}
+		*done = append(*done, it)
+	}
+	return nil
+}
+
+// write is every Backend mutator: reject it while degraded, else Apply.
+func (s *Server) write(rec journal.Record) (Applied, error) {
+	if err := s.health.checkWritable(); err != nil {
+		return Applied{}, err
+	}
+	return s.Apply(rec)
+}
+
+// Declare registers concepts, roles and subconcept axioms in one epoch.
+func (s *Server) Declare(concepts, roles []string, subs []SubConceptDecl) (int64, error) {
+	a, err := s.write(journal.Record{Op: journal.OpDeclare, Concepts: concepts, Roles: roles, Subs: subs})
+	return a.Epoch, err
 }
 
 // Assert adds concept and role assertions in one epoch. Concepts that are
-// currently session-context vocabulary are refused: the next context apply
-// would clear the assertion (the check runs inside the write critical
-// section, where session applies also hold the lock, so there is no TOCTOU
-// window).
+// currently session-context vocabulary are refused (see Apply).
 func (s *Server) Assert(concepts []ConceptAssertion, roles []RoleAssertion) (int64, error) {
-	if err := s.health.checkWritable(); err != nil {
-		return 0, err
-	}
-	return s.AssertTagged(0, concepts, roles)
-}
-
-// AssertTagged is Assert carrying a broadcast id; see DeclareTagged for
-// the BID and applied-prefix journaling contract.
-func (s *Server) AssertTagged(bid uint64, concepts []ConceptAssertion, roles []RoleAssertion) (int64, error) {
-	var wait func() error
-	rec := journal.Record{Op: journal.OpAssert, BID: bid}
-	epoch, err := s.facade.WithWriteEpoch(func(sys *contextrank.System) error {
-		var opErr error
-		for _, a := range concepts {
-			if s.sessions.IsSessionConcept(a.Concept) {
-				opErr = fmt.Errorf(
-					"serve: concept %q is session-context vocabulary; the next context apply would clear the assertion — manage it via /v1/sessions instead", a.Concept)
-				break
-			}
-			if opErr = sys.AssertConcept(a.Concept, a.ID, a.Prob); opErr != nil {
-				break
-			}
-			rec.ConceptAsserts = append(rec.ConceptAsserts, journal.ConceptAssert{Concept: a.Concept, ID: a.ID, Prob: a.Prob})
-		}
-		if opErr == nil {
-			for _, a := range roles {
-				if opErr = sys.AssertRole(a.Role, a.Src, a.Dst, a.Prob); opErr != nil {
-					break
-				}
-				rec.RoleAsserts = append(rec.RoleAsserts, journal.RoleAssert{Role: a.Role, Src: a.Src, Dst: a.Dst, Prob: a.Prob})
-			}
-		}
-		if len(rec.ConceptAsserts)+len(rec.RoleAsserts) > 0 {
-			if j := s.sessions.Journal(); j != nil {
-				rec.Epoch = s.facade.Epoch()
-				wait = j.Submit(rec)
-			}
-		}
-		return opErr
-	})
-	s.pokeSubs()
-	return epoch, s.finishJournal(err, wait, rec, "assert")
+	a, err := s.write(journal.Record{Op: journal.OpAssert, ConceptAsserts: concepts, RoleAsserts: roles})
+	return a.Epoch, err
 }
 
 // Rules snapshots the registered preference rules.
 func (s *Server) Rules() []contextrank.Rule { return s.facade.Rules() }
 
 // AddRules parses and registers rules, returning the added names. On error
-// the names added before the failure stay registered (matching the facade's
-// partial-mutation policy; the epoch bump invalidates cached rankings) —
-// and, with a journal attached, stay durable: the record holds exactly the
-// applied prefix of rule texts.
+// the names added before the failure stay registered and durable (see
+// Apply); the epoch bump invalidates cached rankings.
 func (s *Server) AddRules(texts []string) ([]string, int64, error) {
-	if err := s.health.checkWritable(); err != nil {
-		return nil, 0, err
-	}
-	return s.AddRulesTagged(0, texts)
+	a, err := s.write(journal.Record{Op: journal.OpAddRules, Rules: texts})
+	return a.Added, a.Epoch, err
 }
 
-// AddRulesTagged is AddRules carrying a broadcast id; see DeclareTagged.
-func (s *Server) AddRulesTagged(bid uint64, texts []string) ([]string, int64, error) {
-	var added []string
-	var wait func() error
-	rec := journal.Record{Op: journal.OpAddRules, BID: bid}
-	epoch, err := s.facade.WithWriteEpoch(func(sys *contextrank.System) error {
-		var opErr error
-		for _, text := range texts {
-			rule, aerr := sys.AddRule(text)
-			if aerr != nil {
-				opErr = aerr
-				break
-			}
-			added = append(added, rule.Name)
-			rec.Rules = append(rec.Rules, text)
-		}
-		if len(rec.Rules) > 0 {
-			if j := s.sessions.Journal(); j != nil {
-				rec.Epoch = s.facade.Epoch()
-				wait = j.Submit(rec)
-			}
-		}
-		return opErr
-	})
-	s.pokeSubs()
-	return added, epoch, s.finishJournal(err, wait, rec, "add rules")
-}
-
-// RemoveRule deletes a rule by name. The removal is journaled on success
-// only — a failed remove mutated nothing.
+// RemoveRule deletes a rule by name.
 func (s *Server) RemoveRule(name string) (int64, error) {
-	if err := s.health.checkWritable(); err != nil {
-		return 0, err
-	}
-	return s.RemoveRuleTagged(0, name)
-}
-
-// RemoveRuleTagged is RemoveRule carrying a broadcast id; see DeclareTagged.
-func (s *Server) RemoveRuleTagged(bid uint64, name string) (int64, error) {
-	var wait func() error
-	rec := journal.Record{Op: journal.OpRemoveRule, BID: bid, Rule: name}
-	epoch, err := s.facade.WithWriteEpoch(func(sys *contextrank.System) error {
-		if rerr := sys.Rules().Remove(name); rerr != nil {
-			return rerr
-		}
-		if j := s.sessions.Journal(); j != nil {
-			rec.Epoch = s.facade.Epoch()
-			wait = j.Submit(rec)
-		}
-		return nil
-	})
-	s.pokeSubs()
-	return epoch, s.finishJournal(err, wait, rec, "rule removal")
+	a, err := s.write(journal.Record{Op: journal.OpRemoveRule, Rule: name})
+	return a.Epoch, err
 }
 
 // SetSession replaces the user's session context. The context apply is
@@ -662,55 +652,24 @@ func (s *Server) Query(stmt string) (*contextrank.QueryResult, error) {
 }
 
 // Exec runs a mutating SQL statement, returning the new epoch. The
-// statement is journaled on success only: a failed statement's partial
-// effects (if any) are not re-created by replay — they are also the one
-// divergence a checkpoint can capture that the WAL does not, which is
-// acceptable because the client was told the statement failed.
+// statement is journaled on success only (see Apply).
 func (s *Server) Exec(stmt string) (*contextrank.QueryResult, int64, error) {
-	if err := s.health.checkWritable(); err != nil {
-		return nil, 0, err
-	}
-	return s.ExecTagged(0, stmt)
+	a, err := s.write(journal.Record{Op: journal.OpExec, Stmt: stmt})
+	return a.Result, a.Epoch, err
 }
 
-// ExecTagged is Exec carrying a broadcast id; see DeclareTagged.
-func (s *Server) ExecTagged(bid uint64, stmt string) (*contextrank.QueryResult, int64, error) {
-	var res *contextrank.QueryResult
-	var wait func() error
-	rec := journal.Record{Op: journal.OpExec, BID: bid, Stmt: stmt}
-	epoch, err := s.facade.WithWriteEpoch(func(sys *contextrank.System) error {
-		r, rerr := sys.Exec(stmt)
-		res = r
-		if rerr != nil {
-			return rerr
-		}
-		if j := s.sessions.Journal(); j != nil {
-			rec.Epoch = s.facade.Epoch()
-			wait = j.Submit(rec)
-		}
-		return nil
-	})
-	s.pokeSubs()
-	return res, epoch, s.finishJournal(err, wait, rec, "exec")
-}
-
-// SaveSnapshot dumps the wrapped system as JSON to w with the merged
+// CheckpointDump dumps the wrapped system as JSON to w with the merged
 // session context suspended (see Sessions.SuspendAndDump): the snapshot
 // carries data, vocabulary, views and rules but never session context, so
 // a server restored from it accepts session applies immediately. The dump
 // runs under the write lock — a consistent cut — and bumps the epoch.
-func (s *Server) SaveSnapshot(w io.Writer) error {
-	_, err := s.CheckpointDump(w)
-	return err
-}
-
-// CheckpointDump is SaveSnapshot returning the journal sequence number
-// the snapshot covers: every record with Seq <= the returned value is
-// reflected in the dump, every later record is not. The capture is exact
-// because SuspendAndDump holds both the session mutex and the facade
-// write lock across fn, and every journal Submit happens under the facade
-// write lock — no record can land between the cut and the dump. A server
-// without a journal returns seq 0.
+//
+// It returns the journal sequence number the snapshot covers: every
+// record with Seq <= the returned value is reflected in the dump, every
+// later record is not. The capture is exact because SuspendAndDump holds
+// both the session mutex and the facade write lock across fn, and every
+// journal Submit happens under the facade write lock — no record can land
+// between the cut and the dump. A server without a journal returns seq 0.
 func (s *Server) CheckpointDump(w io.Writer) (uint64, error) {
 	var seq uint64
 	err := s.sessions.SuspendAndDump(func(sys *contextrank.System) error {

@@ -204,7 +204,7 @@ func (c *Coordinator) quarantineLocked(i int, sinceBID uint64, cause error) bool
 // already hold every record with BID > the quarantine point, and no new
 // one can land mid-repair.
 //
-// Records are applied through the shard's Tagged mutators under their
+// Records are applied through the shard's serve.Server.Apply under their
 // original broadcast ids, so the repaired shard's own WAL stays an
 // independently replayable full log. An apply that fails twice is
 // skipped and counted (Stats reports RepairSkipped) rather than wedging
@@ -320,49 +320,15 @@ func (c *Coordinator) replayOntoShard(i, src int, target *serve.Server, sinceBID
 				return ferr // shard still faulted: abort, stay quarantined
 			}
 		}
-		aerr := applyVocabToShard(target, rec)
+		_, aerr := target.Apply(rec)
 		if aerr != nil {
-			aerr = applyVocabToShard(target, rec) // one retry: transient (journal hiccup) vs real
+			_, aerr = target.Apply(rec) // one retry: transient (journal hiccup) vs real
 		}
 		if aerr != nil {
 			c.quar.repairSkipped.Add(1)
 		}
 		return nil
 	})
-	return err
-}
-
-// applyVocabToShard re-applies one journaled vocabulary record to a
-// single shard under its original broadcast id — the single-shard twin
-// of applyVocabRecord, used by quarantine repair.
-func applyVocabToShard(s *serve.Server, rec journal.Record) error {
-	var err error
-	switch rec.Op {
-	case journal.OpDeclare:
-		subs := make([]serve.SubConceptDecl, len(rec.Subs))
-		for i, sd := range rec.Subs {
-			subs[i] = serve.SubConceptDecl{Sub: sd.Sub, Super: sd.Super}
-		}
-		_, err = s.DeclareTagged(rec.BID, rec.Concepts, rec.Roles, subs)
-	case journal.OpAssert:
-		concepts := make([]serve.ConceptAssertion, len(rec.ConceptAsserts))
-		for i, a := range rec.ConceptAsserts {
-			concepts[i] = serve.ConceptAssertion{Concept: a.Concept, ID: a.ID, Prob: a.Prob}
-		}
-		roles := make([]serve.RoleAssertion, len(rec.RoleAsserts))
-		for i, a := range rec.RoleAsserts {
-			roles[i] = serve.RoleAssertion{Role: a.Role, Src: a.Src, Dst: a.Dst, Prob: a.Prob}
-		}
-		_, err = s.AssertTagged(rec.BID, concepts, roles)
-	case journal.OpAddRules:
-		_, _, err = s.AddRulesTagged(rec.BID, rec.Rules)
-	case journal.OpRemoveRule:
-		_, err = s.RemoveRuleTagged(rec.BID, rec.Rule)
-	case journal.OpExec:
-		_, _, err = s.ExecTagged(rec.BID, rec.Stmt)
-	default:
-		err = fmt.Errorf("shard: not a vocabulary record (op %d)", rec.Op)
-	}
 	return err
 }
 

@@ -222,7 +222,7 @@ func (c *Coordinator) Recover(dir string, opts journal.Options) (RecoveryStats, 
 						stats.SkippedDuplicate++
 						return nil
 					}
-					if err := c.applyVocabRecord(rec); err != nil {
+					if _, err := c.applyVocab(rec); err != nil {
 						preserve(rec)
 						return nil
 					}
@@ -327,61 +327,6 @@ func (c *Coordinator) Recover(dir string, opts journal.Options) (RecoveryStats, 
 	published := stats
 	c.recovery.Store(&published)
 	return stats, nil
-}
-
-// applyVocabRecord re-applies one journaled vocabulary record through the
-// broadcast path — every shard applies it and journals it into the new
-// generation. A record tagged with a broadcast id keeps it (so the new
-// generation's copies dedup exactly like the old one's); an untagged
-// record (unsharded-server history) is re-broadcast under a fresh id.
-func (c *Coordinator) applyVocabRecord(rec journal.Record) error {
-	var err error
-	apply := func(fn func(i int, s *serve.Server, bid uint64) (int64, error)) {
-		if rec.BID > 0 {
-			_, err = c.broadcastBID(rec.BID, fn)
-		} else {
-			_, err = c.broadcast(fn)
-		}
-	}
-	switch rec.Op {
-	case journal.OpDeclare:
-		subs := make([]serve.SubConceptDecl, len(rec.Subs))
-		for i, sd := range rec.Subs {
-			subs[i] = serve.SubConceptDecl{Sub: sd.Sub, Super: sd.Super}
-		}
-		apply(func(_ int, s *serve.Server, bid uint64) (int64, error) {
-			return s.DeclareTagged(bid, rec.Concepts, rec.Roles, subs)
-		})
-	case journal.OpAssert:
-		concepts := make([]serve.ConceptAssertion, len(rec.ConceptAsserts))
-		for i, a := range rec.ConceptAsserts {
-			concepts[i] = serve.ConceptAssertion{Concept: a.Concept, ID: a.ID, Prob: a.Prob}
-		}
-		roles := make([]serve.RoleAssertion, len(rec.RoleAsserts))
-		for i, a := range rec.RoleAsserts {
-			roles[i] = serve.RoleAssertion{Role: a.Role, Src: a.Src, Dst: a.Dst, Prob: a.Prob}
-		}
-		apply(func(_ int, s *serve.Server, bid uint64) (int64, error) {
-			return s.AssertTagged(bid, concepts, roles)
-		})
-	case journal.OpAddRules:
-		apply(func(_ int, s *serve.Server, bid uint64) (int64, error) {
-			_, e, aerr := s.AddRulesTagged(bid, rec.Rules)
-			return e, aerr
-		})
-	case journal.OpRemoveRule:
-		apply(func(_ int, s *serve.Server, bid uint64) (int64, error) {
-			return s.RemoveRuleTagged(bid, rec.Rule)
-		})
-	case journal.OpExec:
-		apply(func(_ int, s *serve.Server, bid uint64) (int64, error) {
-			_, e, xerr := s.ExecTagged(bid, rec.Stmt)
-			return e, xerr
-		})
-	default:
-		return fmt.Errorf("shard: not a vocabulary record (op %d)", rec.Op)
-	}
-	return err
 }
 
 // removeStaleJournals best-effort deletes WAL files from generations other

@@ -193,28 +193,40 @@ func (c *Coordinator) RankBatch(user string, alg contextrank.Algorithm, items []
 	return res, meta, err
 }
 
-// SetSession applies the user's session context on the user's shard only:
-// the merged apply and its write lock are shard-local. While the home
-// shard is quarantined the session lands on its healthy stand-in and the
-// user is recorded for migration back at repair time; the recording is
-// serialized with the repair's migration sweep, so a session can never
-// fall between the two.
-func (c *Coordinator) SetSession(user string, ms []serve.Measurement) (string, error) {
+// routeWrite runs a per-user write on the shard serving user. While the
+// user's home shard is quarantined the write lands on its healthy
+// stand-in and, if it succeeds, the user is recorded for migration back
+// at repair time; the recording is serialized with the repair's
+// migration sweep, so a user's state can never fall between the two.
+func (c *Coordinator) routeWrite(user string, write func(shard int) error) error {
 	home := ShardIndex(user, len(c.shards))
 	if c.quar.mask.Load()&maskBit(home) == 0 {
-		return c.shards[home].SetSession(user, ms)
+		return write(home)
 	}
 	c.quar.mu.Lock()
 	defer c.quar.mu.Unlock()
 	mask := c.quar.mask.Load()
 	if mask&maskBit(home) == 0 {
 		// Repaired between the fast-path check and the lock.
-		return c.shards[home].SetSession(user, ms)
+		return write(home)
 	}
-	fp, err := c.shards[rerouteIndex(user, mask, len(c.shards))].SetSession(user, ms)
+	err := write(rerouteIndex(user, mask, len(c.shards)))
 	if err == nil {
+		// A drop keeps the record too: the home shard may hold a stale
+		// pre-quarantine session that repair must clear.
 		c.quar.rerouted[user] = home
 	}
+	return err
+}
+
+// SetSession applies the user's session context on the user's shard only:
+// the merged apply and its write lock are shard-local. While the home
+// shard is quarantined it is rerouted (see routeWrite).
+func (c *Coordinator) SetSession(user string, ms []serve.Measurement) (fp string, err error) {
+	err = c.routeWrite(user, func(i int) error {
+		fp, err = c.shards[i].SetSession(user, ms)
+		return err
+	})
 	return fp, err
 }
 
@@ -226,23 +238,7 @@ func (c *Coordinator) SessionInfo(user string) ([]serve.Measurement, string, boo
 
 // DropSession ends the user's session on the user's current shard.
 func (c *Coordinator) DropSession(user string) error {
-	home := ShardIndex(user, len(c.shards))
-	if c.quar.mask.Load()&maskBit(home) == 0 {
-		return c.shards[home].DropSession(user)
-	}
-	c.quar.mu.Lock()
-	defer c.quar.mu.Unlock()
-	mask := c.quar.mask.Load()
-	if mask&maskBit(home) == 0 {
-		return c.shards[home].DropSession(user)
-	}
-	err := c.shards[rerouteIndex(user, mask, len(c.shards))].DropSession(user)
-	if err == nil {
-		// Keep the migration record: the home shard may hold a stale
-		// pre-quarantine session that repair must clear.
-		c.quar.rerouted[user] = home
-	}
-	return err
+	return c.routeWrite(user, func(i int) error { return c.shards[i].DropSession(user) })
 }
 
 // --- standing subscriptions ------------------------------------------------
@@ -250,29 +246,14 @@ func (c *Coordinator) DropSession(user string) error {
 // Subscribe registers a standing rank subscription on the owner's shard —
 // the subscription's repeated re-rank then shares the user's session,
 // rank cache and compiled plans. While the home shard is quarantined the
-// subscription lands on the healthy stand-in (same reroute and migration
-// record as SetSession; RepairShard moves it home).
-func (c *Coordinator) Subscribe(id string, spec serve.SubscriptionSpec) (serve.SubscriptionInfo, error) {
-	home := ShardIndex(spec.User, len(c.shards))
-	if c.quar.mask.Load()&maskBit(home) == 0 {
-		info, err := c.shards[home].Subscribe(id, spec)
-		info.Shard = home
-		return info, err
-	}
-	c.quar.mu.Lock()
-	defer c.quar.mu.Unlock()
-	mask := c.quar.mask.Load()
-	if mask&maskBit(home) == 0 {
-		info, err := c.shards[home].Subscribe(id, spec)
-		info.Shard = home
-		return info, err
-	}
-	alt := rerouteIndex(spec.User, mask, len(c.shards))
-	info, err := c.shards[alt].Subscribe(id, spec)
-	info.Shard = alt
-	if err == nil {
-		c.quar.rerouted[spec.User] = home
-	}
+// subscription lands on the healthy stand-in (see routeWrite;
+// RepairShard moves it home).
+func (c *Coordinator) Subscribe(id string, spec serve.SubscriptionSpec) (info serve.SubscriptionInfo, err error) {
+	err = c.routeWrite(spec.User, func(i int) error {
+		info, err = c.shards[i].Subscribe(id, spec)
+		info.Shard = i
+		return err
+	})
 	return info, err
 }
 
@@ -359,7 +340,8 @@ func (c *Coordinator) broadcast(fn func(i int, s *serve.Server, bid uint64) (int
 // inside one shard's engine becomes that shard's error (counted in
 // carserve_panics_total) instead of killing the daemon, and with a
 // quarantine threshold armed, a shard that keeps failing while the rest
-// succeed is fenced off and its error absorbed.
+// succeed is fenced off and its error absorbed. A write every shard
+// rejects identically is returned without touching any shard's streak.
 func (c *Coordinator) broadcastBID(bid uint64, fn func(i int, s *serve.Server, bid uint64) (int64, error)) (int64, error) {
 	started := time.Now()
 	mask := c.quar.mask.Load()
@@ -397,19 +379,31 @@ func (c *Coordinator) broadcastBID(bid uint64, fn func(i int, s *serve.Server, b
 			epoch = e
 		}
 	}
+	// A write that every participating shard rejected with the same error
+	// is bad input, not divergence: the replicas still agree, so it moves
+	// no shard's failure streak.
+	var reject error
+	unanimous := true
+	for i, err := range errs {
+		if mask&maskBit(i) != 0 {
+			continue
+		}
+		if reject == nil {
+			reject = err
+		}
+		if err == nil || err.Error() != reject.Error() {
+			unanimous = false
+		}
+	}
 	var firstErr error
 	for i, err := range errs {
 		if mask&maskBit(i) != 0 {
 			continue
 		}
-		if err == nil {
-			c.noteBroadcastResult(i, bid, nil)
-			continue
-		}
-		if c.noteBroadcastResult(i, bid, err) {
+		if !unanimous && c.noteBroadcastResult(i, bid, err) {
 			continue // shard quarantined; the write is durable on the rest
 		}
-		if firstErr == nil {
+		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
@@ -428,13 +422,41 @@ func (c *Coordinator) observeBroadcast(d time.Duration) {
 	}
 }
 
+// applyVocab applies one vocabulary write record on every shard through
+// serve.Server.Apply, so each shard journals it under the shared
+// broadcast id and every shard's WAL is an independently replayable full
+// log. A live write (BID 0) goes through broadcast and gets a fresh id; a
+// replayed record that carries an id keeps it (so the new generation's
+// copies dedup exactly like the old one's), and an untagged replayed
+// record (unsharded-server history) is re-broadcast under a fresh id.
+// Added rule names and the Exec result are shard 0's (parsing and
+// replicated data are deterministic); the epoch is the highest.
+func (c *Coordinator) applyVocab(rec journal.Record) (serve.Applied, error) {
+	var first serve.Applied
+	fn := func(i int, s *serve.Server, bid uint64) (int64, error) {
+		r := rec
+		r.BID = bid
+		a, err := s.Apply(r)
+		if i == 0 {
+			first = a
+		}
+		return a.Epoch, err
+	}
+	var epoch int64
+	var err error
+	if rec.BID > 0 {
+		epoch, err = c.broadcastBID(rec.BID, fn)
+	} else {
+		epoch, err = c.broadcast(fn)
+	}
+	first.Epoch = epoch
+	return first, err
+}
+
 // Declare broadcasts concept/role/subconcept declarations to every shard.
-// Each shard journals the write under the shared broadcast id, so every
-// shard's WAL is an independently replayable full log.
 func (c *Coordinator) Declare(concepts, roles []string, subs []serve.SubConceptDecl) (int64, error) {
-	return c.broadcast(func(_ int, s *serve.Server, bid uint64) (int64, error) {
-		return s.DeclareTagged(bid, concepts, roles, subs)
-	})
+	a, err := c.applyVocab(journal.Record{Op: journal.OpDeclare, Concepts: concepts, Roles: roles, Subs: subs})
+	return a.Epoch, err
 }
 
 // Assert broadcasts data assertions to every shard. Uncertain assertions
@@ -442,49 +464,30 @@ func (c *Coordinator) Declare(concepts, roles []string, subs []serve.SubConceptD
 // probability every shard computes is identical, so rankings agree across
 // shards even though the event names differ.
 func (c *Coordinator) Assert(concepts []serve.ConceptAssertion, roles []serve.RoleAssertion) (int64, error) {
-	return c.broadcast(func(_ int, s *serve.Server, bid uint64) (int64, error) {
-		return s.AssertTagged(bid, concepts, roles)
-	})
+	a, err := c.applyVocab(journal.Record{Op: journal.OpAssert, ConceptAsserts: concepts, RoleAsserts: roles})
+	return a.Epoch, err
 }
 
 // Rules snapshots the registered rules from one replica (rules are
 // broadcast, so all shards agree after any successful AddRules).
 func (c *Coordinator) Rules() []contextrank.Rule { return c.shards[0].Rules() }
 
-// AddRules broadcasts rule registration to every shard; the added names
-// are reported from shard 0 (parsing is deterministic, so every shard
-// derives the same names).
+// AddRules broadcasts rule registration to every shard.
 func (c *Coordinator) AddRules(texts []string) ([]string, int64, error) {
-	var added []string
-	epoch, err := c.broadcast(func(i int, s *serve.Server, bid uint64) (int64, error) {
-		names, e, err := s.AddRulesTagged(bid, texts)
-		if i == 0 {
-			added = names
-		}
-		return e, err
-	})
-	return added, epoch, err
+	a, err := c.applyVocab(journal.Record{Op: journal.OpAddRules, Rules: texts})
+	return a.Added, a.Epoch, err
 }
 
 // RemoveRule broadcasts the removal to every shard.
 func (c *Coordinator) RemoveRule(name string) (int64, error) {
-	return c.broadcast(func(_ int, s *serve.Server, bid uint64) (int64, error) {
-		return s.RemoveRuleTagged(bid, name)
-	})
+	a, err := c.applyVocab(journal.Record{Op: journal.OpRemoveRule, Rule: name})
+	return a.Epoch, err
 }
 
-// Exec broadcasts a mutating SQL statement; the result set is shard 0's
-// (replicated data is identical when the broadcast succeeds).
+// Exec broadcasts a mutating SQL statement.
 func (c *Coordinator) Exec(stmt string) (*contextrank.QueryResult, int64, error) {
-	var res *contextrank.QueryResult
-	epoch, err := c.broadcast(func(i int, s *serve.Server, bid uint64) (int64, error) {
-		r, e, err := s.ExecTagged(bid, stmt)
-		if i == 0 {
-			res = r
-		}
-		return e, err
-	})
-	return res, epoch, err
+	a, err := c.applyVocab(journal.Record{Op: journal.OpExec, Stmt: stmt})
+	return a.Result, a.Epoch, err
 }
 
 // --- shard-agnostic reads --------------------------------------------------

@@ -49,7 +49,7 @@ func snapshotFile(dir, id string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%s-%03d.snapshot.json", id, i))
 }
 
-// SaveSnapshots dumps every shard's database (serve.Server.SaveSnapshot:
+// Checkpoint dumps every shard's database (serve.Server.CheckpointDump:
 // engine.Dump plus the persisted rule repository, with session context
 // suspended) into dir, one file per shard plus a manifest, creating dir
 // if needed. Each dump runs under that shard's write lock, so it is a
@@ -74,17 +74,15 @@ func snapshotFile(dir, id string, i int) string {
 // journal generation and each shard's covered sequence, and every WAL is
 // truncated down to its live sessions (plus any checkpoint-exempt
 // records) once the manifest switch makes the snapshot authoritative.
-// Checkpoint is the same operation under its own name; SIGTERM's final
-// save and the background checkpointer share this path.
-func (c *Coordinator) SaveSnapshots(dir string) error { return c.Checkpoint(dir) }
-
-// Checkpoint snapshots every shard and truncates the WALs. The broadcast
-// gate is held across all shards' dumps so the cuts share one broadcast
-// frontier (see Coordinator.bcastGate); per-shard session/rank traffic is
-// blocked only while its own shard is dumping. WAL truncation happens
-// strictly after the manifest rename — a crash in between leaves extra
-// records in the WAL whose replay is skipped via the manifest's coverage
-// fields, never a manifest that over-promises coverage.
+// SIGTERM's final save and the background checkpointer share this path.
+//
+// The broadcast gate is held across all shards' dumps so the cuts share
+// one broadcast frontier (see Coordinator.bcastGate); per-shard
+// session/rank traffic is blocked only while its own shard is dumping.
+// WAL truncation happens strictly after the manifest rename — a crash in
+// between leaves extra records in the WAL whose replay is skipped via the
+// manifest's coverage fields, never a manifest that over-promises
+// coverage.
 func (c *Coordinator) Checkpoint(dir string) error {
 	// A checkpoint while a shard is quarantined would snapshot diverged
 	// replicas and truncate the very WAL records repair needs. Refuse —

@@ -18,7 +18,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if _, err := c.SetSession("peter", []serve.Measurement{{Concept: "Weekend", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SaveSnapshots(dir); err != nil {
+	if err := c.Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
 	if !HasSnapshots(dir) {
@@ -29,7 +29,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	// A second save supersedes the first generation atomically (manifest
 	// swap) and garbage-collects its files.
-	if err := c.SaveSnapshots(dir); err != nil {
+	if err := c.Checkpoint(dir); err != nil {
 		t.Fatal(err)
 	}
 	if n := countShardFiles(t, dir); n != 2 {
