@@ -47,6 +47,24 @@ func TestParseRuleRejectsNaNSigma(t *testing.T) {
 	}
 }
 
+// TestParseRuleRejectsTrailingSigmaText: σ was scanned with %g, which
+// stops at the end of the number, so trailing text after it was ignored
+// ("1e-1x" even parsed as 0.1).
+func TestParseRuleRejectsTrailingSigmaText(t *testing.T) {
+	for _, in := range []string{
+		"WHEN A PREFER B WITH 0.5 junk",
+		"WHEN A PREFER B WITH 0.5junk",
+		"WHEN A PREFER B WITH 1e-1x",
+	} {
+		if r, err := ParseRule(in); err == nil {
+			t.Errorf("ParseRule(%q) accepted σ = %g", in, r.Sigma)
+		}
+	}
+	if r, err := ParseRule("WHEN A PREFER B WITH 1e-1 "); err != nil || r.Sigma != 0.1 {
+		t.Fatalf("surrounding space around σ: %+v, %v", r, err)
+	}
+}
+
 // FuzzParseRule: no input may panic the rule parser, and an accepted rule
 // must survive a String round trip. Found inputs are committed under
 // testdata/fuzz/FuzzParseRule and run as ordinary tests.

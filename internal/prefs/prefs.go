@@ -93,9 +93,12 @@ func ParseRule(input string) (Rule, error) {
 	if err != nil {
 		return Rule{}, fmt.Errorf("prefs: preference: %w", err)
 	}
-	var sigma float64
-	if _, err := fmt.Sscanf(strings.TrimSpace(sigmaText), "%g", &sigma); err != nil {
-		return Rule{}, fmt.Errorf("prefs: bad σ %q", strings.TrimSpace(sigmaText))
+	// ParseFloat takes the whole text: a scan would stop at the number and
+	// accept trailing junk ("0.5 junk", "1e-1x" read as 0.1).
+	sigmaText = strings.TrimSpace(sigmaText)
+	sigma, err := strconv.ParseFloat(sigmaText, 64)
+	if err != nil {
+		return Rule{}, fmt.Errorf("prefs: bad σ %q", sigmaText)
 	}
 	if name == "" {
 		name = fmt.Sprintf("rule-%x", hashString(input))

@@ -65,9 +65,6 @@ type Handler struct {
 	chaos     *faultinject.Injector // nil = no /v1/chaos endpoints
 }
 
-// NewHandler builds the HTTP API over a single server.
-func NewHandler(srv *Server) *Handler { return NewHandlerFor(srv) }
-
 // NewHandlerFor builds the HTTP API over any serving backend.
 func NewHandlerFor(srv Backend) *Handler {
 	h := &Handler{srv: srv, mux: http.NewServeMux()}

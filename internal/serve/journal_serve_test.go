@@ -95,13 +95,13 @@ func TestJournalReplayIdempotence(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		// ghost churns through many Sets before leaving — all stale.
-		if _, err := src.Sessions().Set("ghost", []Measurement{{Concept: "CtxA", Prob: float64(i%10) / 10}}); err != nil {
+		if _, err := src.SetSession("ghost", []Measurement{{Concept: "CtxA", Prob: float64(i%10) / 10}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	wantFP := make(map[string]string)
 	for _, u := range []string{"peter", "maria"} {
-		fp, err := src.Sessions().Set(u, []Measurement{
+		fp, err := src.SetSession(u, []Measurement{
 			{Concept: "CtxA", Prob: 0.8},
 			{Concept: "LocK", Prob: 0.6, Exclusive: "loc"},
 		})
@@ -110,7 +110,7 @@ func TestJournalReplayIdempotence(t *testing.T) {
 		}
 		wantFP[u] = fp
 	}
-	if err := src.Sessions().Drop("ghost"); err != nil {
+	if err := src.DropSession("ghost"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -129,11 +129,11 @@ func TestJournalReplayIdempotence(t *testing.T) {
 		if st.Rules != wantRules {
 			t.Fatalf("pass %d: %d rules, want %d", pass, st.Rules, wantRules)
 		}
-		if _, ok := dst.Sessions().Measurements("ghost"); ok {
+		if _, _, ok := dst.SessionInfo("ghost"); ok {
 			t.Fatalf("pass %d: dropped user resurrected", pass)
 		}
 		for u, want := range wantFP {
-			if got := dst.Sessions().Fingerprint(u); got != want {
+			if _, got, _ := dst.SessionInfo(u); got != want {
 				t.Fatalf("pass %d: fingerprint for %s = %s, want %s", pass, u, got, want)
 			}
 		}
@@ -164,15 +164,15 @@ func TestJournalReplayIdempotence(t *testing.T) {
 func TestJournalDropRetryNotResurrected(t *testing.T) {
 	src := NewServer(newTestSystem(t), Options{})
 	path := attachTestJournal(t, src, journal.Options{})
-	if _, err := src.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Prob: 0.8}}); err != nil {
+	if _, err := src.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 0.8}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := src.Sessions().Drop("peter"); err != nil {
+	if err := src.DropSession("peter"); err != nil {
 		t.Fatal(err)
 	}
 	// The retry: peter is already gone in memory, but the drop must
 	// reach the WAL again all the same.
-	if err := src.Sessions().Drop("peter"); err != nil {
+	if err := src.DropSession("peter"); err != nil {
 		t.Fatal(err)
 	}
 	rs, err := journal.Replay(path, func(journal.Record) error { return nil })
@@ -184,7 +184,7 @@ func TestJournalDropRetryNotResurrected(t *testing.T) {
 	}
 	dst := NewServer(newTestSystem(t), Options{})
 	replayInto(t, dst, path)
-	if _, ok := dst.Sessions().Measurements("peter"); ok {
+	if _, _, ok := dst.SessionInfo("peter"); ok {
 		t.Fatal("dropped session resurrected after a retried drop")
 	}
 }
@@ -217,11 +217,11 @@ func TestJournalCrashChurnSoak(t *testing.T) {
 	for i := 0; i < applies; i++ {
 		u := i % users
 		name := fmt.Sprintf("user%03d", u)
-		if _, err := src.Sessions().Set(name, ms(u, i/users)); err != nil {
+		if _, err := src.SetSession(name, ms(u, i/users)); err != nil {
 			t.Fatal(err)
 		}
 		if i%7 == 6 {
-			if err := src.Sessions().Drop(name); err != nil {
+			if err := src.DropSession(name); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -235,8 +235,14 @@ func TestJournalCrashChurnSoak(t *testing.T) {
 	}
 	preSessions := st.Sessions
 	preFP := make(map[string]string)
-	for _, u := range src.Sessions().Users() {
-		preFP[u] = src.Sessions().Fingerprint(u)
+	for u := 0; u < users; u++ {
+		name := fmt.Sprintf("user%03d", u)
+		if _, fp, ok := src.SessionInfo(name); ok {
+			preFP[name] = fp
+		}
+	}
+	if len(preFP) != preSessions {
+		t.Fatalf("SessionInfo found %d of %d live sessions", len(preFP), preSessions)
 	}
 
 	// Crash (journal not closed; group commit already fsynced every ack)
@@ -250,7 +256,7 @@ func TestJournalCrashChurnSoak(t *testing.T) {
 		t.Fatalf("recovered %d sessions, want %d", got, preSessions)
 	}
 	for u, want := range preFP {
-		if got := dst.Sessions().Fingerprint(u); got != want {
+		if _, got, _ := dst.SessionInfo(u); got != want {
 			t.Fatalf("fingerprint for %s = %s, want %s", u, got, want)
 		}
 	}

@@ -10,14 +10,13 @@ import (
 	contextrank "repro"
 )
 
-// DefaultPlanCacheSize is the compiled-plan LRU capacity when Options
-// leaves it zero. Plans are per-user (not per-target), so a modest
-// capacity covers many more distinct rank requests than the same number of
-// rank-result entries.
-const DefaultPlanCacheSize = 256
+// planCacheCapacity is the compiled-plan LRU capacity. Plans are
+// per-user (not per-target), so a modest capacity covers many more
+// distinct rank requests than the same number of rank-result entries.
+const planCacheCapacity = 256
 
 // planKey keys one compiled rank plan. The facade epoch invalidates plans
-// on every data/rule/external-context mutation, the context epoch on every
+// on every data/rule mutation, the context epoch on every
 // merged session apply (which retires and re-declares context events for
 // *all* users, so the updated user's fingerprint alone would not be enough
 // — see Sessions.ctxEpoch), and the rules fingerprint pins the exact rule
@@ -94,9 +93,6 @@ type planCache struct {
 }
 
 func newPlanCache(capacity int) *planCache {
-	if capacity <= 0 {
-		capacity = DefaultPlanCacheSize
-	}
 	return &planCache{
 		capacity: capacity,
 		ll:       list.New(),

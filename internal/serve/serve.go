@@ -8,10 +8,11 @@
 //   - Facade wraps a System in a reader/writer locking discipline. Every
 //     individual System component is internally synchronized (see the
 //     locking-contract note on contextrank.System), but a multi-step
-//     mutation such as SetContext (clear concepts, declare events, assert
-//     memberships) is not atomic with respect to a concurrent Rank. The
-//     facade makes it atomic: rankers and queries take the read lock,
-//     mutators take the write lock and bump a monotonic epoch.
+//     mutation such as a context apply (clear concepts, declare events,
+//     assert memberships) is not atomic with respect to a concurrent Rank.
+//     The facade makes it atomic: rankers and queries take the read lock,
+//     mutations take the write lock and bump a monotonic epoch. Its
+//     exported surface is read-only (Epoch, WithRead, Query, Rules).
 //
 //   - Sessions keeps one context per user and merges all user contexts
 //     into a single situation snapshot on every update, so many situated
@@ -21,7 +22,10 @@
 //     space, so session churn (updates and drops) cannot grow the space
 //     past the live vocabulary.
 //
-//   - Server adds an LRU rank-result cache keyed by (user, target,
+//   - Server is the only way to mutate or rank: its Backend methods and
+//     Apply. Every mutation it serves is journaled (when a WAL is
+//     attached), refused while degraded and followed by a subscription
+//     poke. It adds an LRU rank-result cache keyed by (user, target,
 //     options, context fingerprint, epoch) with singleflight coalescing of
 //     identical concurrent misses, plus hit/latency statistics. A data
 //     mutation bumps the epoch and thereby invalidates every cached
@@ -36,9 +40,9 @@
 // scales the layer horizontally: a shard.Coordinator owns N Servers,
 // routes per-user traffic by consistent hash and broadcasts vocabulary
 // writes, behind the same Backend interface. The journal subpackage makes
-// session state crash-durable: with a WAL attached (AttachJournal), every
-// acknowledged Set/Drop is fsynced before the acknowledgement and boot
-// replays it through the ordinary apply path. See DESIGN.md §3/§3.5/§3.6
+// the served state crash-durable: with a WAL attached (AttachJournal),
+// every acknowledged mutation is fsynced before the acknowledgement and
+// boot replays it through the ordinary apply path. See DESIGN.md §3/§3.5/§3.6
 // for the architecture discussion.
 package serve
 
@@ -52,36 +56,33 @@ import (
 )
 
 // Facade serializes access to a contextrank.System: read operations
-// (ranking, queries) run concurrently under a shared lock, mutating
-// operations (schema, assertions, rules, context, DML) run exclusively and
-// advance the epoch.
+// (ranking, queries) run concurrently under a shared lock, and every
+// mutation runs exclusively and advances the epoch. Its exported surface is
+// read-only — Epoch, WithRead, Query and Rules. Mutations go through the
+// Server (its Backend writes, Apply, SetSession and DropSession), which
+// journals them, honours degraded mode and pokes the subscription
+// evaluator; the facade only supplies the lock and the epoch they run
+// under.
 //
-// The epoch is bumped even when a mutator returns an error, because several
-// mutators apply partially before failing (e.g. AddRule auto-declares
-// context concepts before validating the preference vocabulary). Epoch
-// over-invalidation is harmless — it can never serve a stale ranking.
+// The epoch is bumped even when a mutation returns an error, because
+// several mutations apply partially before failing (e.g. AddRule
+// auto-declares context concepts before validating the preference
+// vocabulary). Epoch over-invalidation is harmless — it can never serve a
+// stale ranking.
 type Facade struct {
 	mu    sync.RWMutex
 	sys   *contextrank.System
 	epoch atomic.Int64
-	// externalCtx records that the current situation snapshot was applied
-	// through Facade.SetContext rather than the session manager. The next
-	// session apply clears that snapshot's concepts (situation.Apply
-	// retracts the previous context), changing session-less users'
-	// rankings, so it must bump the epoch — their cache keys carry no
-	// fingerprint that could otherwise invalidate them. Guarded by mu.
-	externalCtx bool
 }
 
-// NewFacade wraps the system. The caller must stop touching sys directly;
-// all access should flow through the facade (or WithRead/WithWrite).
-func NewFacade(sys *contextrank.System) *Facade {
+// newFacade wraps the system. The caller must stop touching sys directly;
+// all access flows through the facade.
+func newFacade(sys *contextrank.System) *Facade {
 	return &Facade{sys: sys}
 }
 
 // Epoch returns the current mutation epoch. It increases monotonically;
-// two Rank calls observing the same epoch saw the same data, rules and
-// facade-applied context.
+// two Rank calls observing the same epoch saw the same data and rules.
 func (f *Facade) Epoch() int64 { return f.epoch.Load() }
 
 // WithRead runs fn under the shared lock. fn must not mutate the system.
@@ -91,29 +92,15 @@ func (f *Facade) WithRead(fn func(sys *contextrank.System) error) error {
 	return fn(f.sys)
 }
 
-// WithWrite runs fn under the exclusive lock and bumps the epoch.
-func (f *Facade) WithWrite(fn func(sys *contextrank.System) error) error {
-	_, err := f.WithWriteEpoch(fn)
-	return err
-}
-
-// WithWriteEpoch is WithWrite returning the epoch the mutation produced,
-// captured inside the critical section — reading Epoch() after the lock
-// is released could observe a later concurrent mutation's epoch.
-func (f *Facade) WithWriteEpoch(fn func(sys *contextrank.System) error) (int64, error) {
+// withWriteEpoch runs fn under the exclusive lock, bumps the epoch and
+// returns the epoch the mutation produced, captured inside the critical
+// section — reading Epoch() after the lock is released could observe a
+// later concurrent mutation's epoch.
+func (f *Facade) withWriteEpoch(fn func(sys *contextrank.System) error) (int64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	err := fn(f.sys)
 	return f.epoch.Add(1), err
-}
-
-// bumpEpoch advances the epoch under the write lock without touching the
-// system — used to invalidate rankings that may have been computed (and
-// cached) against transiently inconsistent state.
-func (f *Facade) bumpEpoch() {
-	f.mu.Lock()
-	f.epoch.Add(1)
-	f.mu.Unlock()
 }
 
 // withReadEpoch runs fn under the shared lock, passing the epoch observed
@@ -125,35 +112,11 @@ func (f *Facade) withReadEpoch(fn func(sys *contextrank.System, epoch int64) err
 	return fn(f.sys, f.epoch.Load())
 }
 
-// --- Read operations -------------------------------------------------------
-
-// Rank ranks the target concept for the user with default options.
-func (f *Facade) Rank(user, target string) ([]contextrank.Result, error) {
-	return f.RankWith(user, target, contextrank.RankOptions{})
-}
-
-// RankWith ranks with explicit options under the read lock.
-func (f *Facade) RankWith(user, target string, opts contextrank.RankOptions) ([]contextrank.Result, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.sys.RankWith(user, target, opts)
-}
-
-// RankQuery runs the §5 query-integrated ranking under the read lock. The
-// SQL must be a SELECT: the engine executes statements before checking
-// whether they produced rows, so DML smuggled through a shared-lock path
-// would mutate state under concurrent rankers and dodge the epoch bump.
-func (f *Facade) RankQuery(user, sqlQuery string, opts contextrank.RankOptions) ([]contextrank.Result, error) {
-	if err := ensureSelect(sqlQuery); err != nil {
-		return nil, err
-	}
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.sys.RankQuery(user, sqlQuery, opts)
-}
-
-// Query runs a SQL query under the read lock. Like RankQuery it accepts
-// only SELECT statements; anything that writes must go through Exec.
+// Query runs a SQL query under the read lock. It accepts only SELECT
+// statements: the engine executes statements before checking whether they
+// produced rows, so DML smuggled through the shared-lock path would mutate
+// state under concurrent rankers and dodge the epoch bump. Anything that
+// writes must go through Server.Exec.
 func (f *Facade) Query(stmt string) (*contextrank.QueryResult, error) {
 	if err := ensureSelect(stmt); err != nil {
 		return nil, err
@@ -181,94 +144,4 @@ func (f *Facade) Rules() []contextrank.Rule {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	return f.sys.Rules().Rules()
-}
-
-// RuleCount returns the number of registered rules without copying them.
-func (f *Facade) RuleCount() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.sys.Rules().Len()
-}
-
-// AnalyzeRules runs the repository analysis under the read lock.
-func (f *Facade) AnalyzeRules() []contextrank.Finding {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.sys.AnalyzeRules()
-}
-
-// --- Write operations (each bumps the epoch) -------------------------------
-
-// DeclareConcept registers atomic concepts.
-func (f *Facade) DeclareConcept(names ...string) error {
-	return f.WithWrite(func(sys *contextrank.System) error {
-		return sys.DeclareConcept(names...)
-	})
-}
-
-// DeclareRole registers roles.
-func (f *Facade) DeclareRole(names ...string) error {
-	return f.WithWrite(func(sys *contextrank.System) error {
-		return sys.DeclareRole(names...)
-	})
-}
-
-// SubConcept records a TBox axiom sub ⊑ super.
-func (f *Facade) SubConcept(sub, super string) error {
-	return f.WithWrite(func(sys *contextrank.System) error {
-		return sys.SubConcept(sub, super)
-	})
-}
-
-// AssertConcept asserts a (possibly uncertain) concept membership.
-func (f *Facade) AssertConcept(concept, id string, prob float64) error {
-	return f.WithWrite(func(sys *contextrank.System) error {
-		return sys.AssertConcept(concept, id, prob)
-	})
-}
-
-// AssertRole asserts a (possibly uncertain) role tuple.
-func (f *Facade) AssertRole(role, src, dst string, prob float64) error {
-	return f.WithWrite(func(sys *contextrank.System) error {
-		return sys.AssertRole(role, src, dst, prob)
-	})
-}
-
-// AddRule parses and registers a scored preference rule.
-func (f *Facade) AddRule(text string) (contextrank.Rule, error) {
-	var rule contextrank.Rule
-	err := f.WithWrite(func(sys *contextrank.System) error {
-		r, err := sys.AddRule(text)
-		rule = r
-		return err
-	})
-	return rule, err
-}
-
-// RemoveRule deletes a rule by name.
-func (f *Facade) RemoveRule(name string) error {
-	return f.WithWrite(func(sys *contextrank.System) error {
-		return sys.Rules().Remove(name)
-	})
-}
-
-// SetContext replaces the system's context snapshot. Prefer Sessions for
-// per-user contexts: this facade-level call invalidates every user's cached
-// rankings (epoch bump), a session update only the one user's.
-func (f *Facade) SetContext(ctx *contextrank.Context) error {
-	return f.WithWrite(func(sys *contextrank.System) error {
-		f.externalCtx = true
-		return sys.SetContext(ctx)
-	})
-}
-
-// Exec runs a SQL statement that may write, under the exclusive lock.
-func (f *Facade) Exec(stmt string) (*contextrank.QueryResult, error) {
-	var res *contextrank.QueryResult
-	err := f.WithWrite(func(sys *contextrank.System) error {
-		r, err := sys.Exec(stmt)
-		res = r
-		return err
-	})
-	return res, err
 }

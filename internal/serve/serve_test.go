@@ -53,60 +53,91 @@ func sameResults(t *testing.T, got, want []contextrank.Result) {
 	}
 }
 
+// freshRank ranks target for user straight off the system under the
+// facade read lock, bypassing the rank and plan caches: the uncached
+// reference the cache-correctness tests compare against.
+func freshRank(t testing.TB, srv *Server, user, target string) []contextrank.Result {
+	t.Helper()
+	var out []contextrank.Result
+	err := srv.Facade().WithRead(func(sys *contextrank.System) error {
+		var err error
+		out, err = sys.RankWith(user, target, contextrank.RankOptions{})
+		return err
+	})
+	if err != nil {
+		t.Fatalf("fresh rank %s/%s: %v", user, target, err)
+	}
+	return out
+}
+
+// TestFacadeEpochDiscipline: each of the Server's five vocabulary writes
+// bumps the facade epoch exactly once and reports the epoch it produced;
+// reads bump nothing; a failed write still bumps (partial effects must
+// invalidate).
 func TestFacadeEpochDiscipline(t *testing.T) {
-	f := NewFacade(newTestSystem(t))
+	srv := NewServer(newTestSystem(t), Options{})
+	f := srv.Facade()
 	e0 := f.Epoch()
 
 	// Read operations leave the epoch alone.
-	if _, err := f.Rank("peter", "TvProgram"); err != nil {
+	if _, _, err := srv.Rank("peter", "TvProgram", contextrank.RankOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Query("SELECT id FROM c_TvProgram"); err != nil {
+	if _, _, err := srv.RankBatch("peter", "", []RankItem{{Candidates: []string{"tv01"}}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(f.Rules()); got != 2 {
+	if _, err := srv.Query("SELECT id FROM c_TvProgram"); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(srv.Rules()); got != 2 {
 		t.Fatalf("rules = %d, want 2", got)
 	}
+	srv.SessionInfo("peter")
+	srv.Stats()
 	if f.Epoch() != e0 {
 		t.Fatalf("reads bumped epoch: %d -> %d", e0, f.Epoch())
 	}
 
-	// Every mutator bumps it exactly once.
-	steps := []func() error{
-		func() error { return f.DeclareConcept("Documentary") },
-		func() error { return f.DeclareRole("hasSubject") },
-		func() error { return f.AssertConcept("Documentary", "d1", 0.7) },
-		func() error { return f.AssertRole("hasSubject", "d1", "nature", 1) },
-		func() error { _, err := f.AddRule("RULE r2 WHEN CtxC PREFER Documentary WITH 0.5"); return err },
-		func() error { return f.SetContext(contextrank.NewContext("peter").Certain("CtxA")) },
-		func() error { _, err := f.Exec("CREATE TABLE scratch (id TEXT)"); return err },
-		func() error { return f.RemoveRule("r2") },
-		func() error { return f.SubConcept("Documentary", "TvProgram") },
+	writes := []struct {
+		name  string
+		write func() (int64, error)
+	}{
+		{"declare", func() (int64, error) {
+			return srv.Declare([]string{"Documentary"}, []string{"hasSubject"},
+				[]SubConceptDecl{{Sub: "Documentary", Super: "TvProgram"}})
+		}},
+		{"assert", func() (int64, error) {
+			return srv.Assert([]ConceptAssertion{{Concept: "Documentary", ID: "d1", Prob: 0.7}},
+				[]RoleAssertion{{Role: "hasSubject", Src: "d1", Dst: "nature", Prob: 1}})
+		}},
+		{"add rules", func() (int64, error) {
+			_, e, err := srv.AddRules([]string{"RULE r2 WHEN CtxC PREFER Documentary WITH 0.5"})
+			return e, err
+		}},
+		{"exec", func() (int64, error) {
+			_, e, err := srv.Exec("CREATE TABLE scratch (id TEXT)")
+			return e, err
+		}},
+		{"remove rule", func() (int64, error) { return srv.RemoveRule("r2") }},
 	}
-	for i, step := range steps {
+	for _, w := range writes {
 		before := f.Epoch()
-		if err := step(); err != nil {
-			t.Fatalf("step %d: %v", i, err)
+		got, err := w.write()
+		if err != nil {
+			t.Fatalf("%s: %v", w.name, err)
 		}
-		if f.Epoch() != before+1 {
-			t.Fatalf("step %d: epoch %d -> %d, want +1", i, before, f.Epoch())
+		if f.Epoch() != before+1 || got != before+1 {
+			t.Fatalf("%s: epoch %d -> %d (reported %d), want +1", w.name, before, f.Epoch(), got)
 		}
 	}
 
-	// WithWriteEpoch reports the epoch its own mutation produced.
-	ew0 := f.Epoch()
-	ew, werr := f.WithWriteEpoch(func(*contextrank.System) error { return nil })
-	if werr != nil || ew != ew0+1 || f.Epoch() != ew {
-		t.Fatalf("WithWriteEpoch = (%d, %v), epoch now %d, want %d", ew, werr, f.Epoch(), ew0+1)
-	}
-
-	// A failing mutator still bumps (partial effects must invalidate).
+	// A failing write still bumps (partial effects must invalidate).
 	before := f.Epoch()
-	if _, err := f.AddRule("RULE bad WHEN CtxD PREFER Undeclared WITH 0.5"); err == nil {
-		t.Fatal("expected AddRule error")
+	if _, _, err := srv.AddRules([]string{"RULE bad WHEN CtxD PREFER Undeclared WITH 0.5"}); err == nil {
+		t.Fatal("expected AddRules error")
 	}
 	if f.Epoch() != before+1 {
-		t.Fatalf("failed mutator did not bump epoch")
+		t.Fatalf("failed write did not bump epoch")
 	}
 }
 
@@ -119,12 +150,13 @@ func TestFacadeRankMatchesSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFacade(sys)
-	got, err := f.Rank("peter", "TvProgram")
+	srv := NewServer(sys, Options{})
+	got, _, err := srv.Rank("peter", "TvProgram", contextrank.RankOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResults(t, got, want)
+	sameResults(t, freshRank(t, srv, "peter", "TvProgram"), want)
 	if len(got) != 10 {
 		t.Fatalf("got %d results, want 10", len(got))
 	}

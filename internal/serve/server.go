@@ -16,10 +16,6 @@ type Options struct {
 	// CacheSize is the rank-result LRU capacity (entries). 0 means
 	// DefaultCacheSize; negative disables caching entirely.
 	CacheSize int
-	// PlanCacheSize is the compiled-rank-plan LRU capacity (entries). 0
-	// means DefaultPlanCacheSize; negative disables plan caching (every
-	// uncached rank then recompiles its plan).
-	PlanCacheSize int
 	// DegradeOnDiskError arms read-only degraded mode: when an attached
 	// journal sticky-fails, mutations are rejected with ErrDegraded
 	// (ranks keep serving from memory) instead of each returning its own
@@ -107,7 +103,7 @@ type Server struct {
 	facade   *Facade
 	sessions *Sessions
 	cache    *rankCache // nil when caching is disabled
-	plans    *planCache // nil when plan caching is disabled
+	plans    *planCache
 	latency  *latencyRecorder
 	health   *diskHealth
 	subs     *subRegistry
@@ -118,10 +114,12 @@ type Server struct {
 var _ Backend = (*Server)(nil)
 
 // NewServer wraps the system for serving. The caller must route all
-// subsequent access through the returned server (or its Facade).
+// subsequent access through the returned server: mutations through its
+// Backend methods and Apply, direct reads through its Facade.
 func NewServer(sys *contextrank.System, opts Options) *Server {
 	srv := &Server{
-		facade:  NewFacade(sys),
+		facade:  newFacade(sys),
+		plans:   newPlanCache(planCacheCapacity),
 		latency: &latencyRecorder{},
 		health:  &diskHealth{enabled: opts.DegradeOnDiskError},
 		subs:    newSubRegistry(),
@@ -132,17 +130,11 @@ func NewServer(sys *contextrank.System, opts Options) *Server {
 	if opts.CacheSize >= 0 {
 		srv.cache = newRankCache(opts.CacheSize)
 	}
-	if opts.PlanCacheSize >= 0 {
-		srv.plans = newPlanCache(opts.PlanCacheSize)
-	}
 	return srv
 }
 
-// Facade returns the locking facade for direct (uncached) operations.
+// Facade returns the locking facade for direct (uncached) reads.
 func (s *Server) Facade() *Facade { return s.facade }
-
-// Sessions returns the per-user session manager.
-func (s *Server) Sessions() *Sessions { return s.sessions }
 
 // AttachJournal arms the write-ahead log (see Sessions.AttachJournal):
 // every acknowledged mutation — session updates AND vocabulary/data
@@ -172,11 +164,11 @@ func (s *Server) Rank(user, target string, opts contextrank.RankOptions) ([]cont
 
 	// AppliedFingerprint is lock-free, so it is safe both here and inside
 	// the facade read lock below (Sessions.Set holds its own mutex across
-	// the facade write lock, so Sessions.Fingerprint — which takes that
-	// mutex — would deadlock there). If a session update lands between
-	// this read and the ranking, the compute closure re-reads fingerprint
-	// and epoch under the read lock and files the result under the pair
-	// it was actually computed at.
+	// the facade write lock, so anything taking that mutex would deadlock
+	// there). If a session update lands between this read and the
+	// ranking, the compute closure re-reads fingerprint and epoch under
+	// the read lock and files the result under the pair it was actually
+	// computed at.
 	fp := s.sessions.AppliedFingerprint(user)
 	epoch := s.facade.Epoch()
 
@@ -258,9 +250,6 @@ func (s *Server) rankTarget(sys *contextrank.System, user, target string, opts c
 // distributions (see contextrank.RefreshRankPlan). Refresh failures fall
 // back to a full compile; correctness never depends on the fast path.
 func (s *Server) planFor(sys *contextrank.System, user string, e int64) (*contextrank.RankPlan, error) {
-	if s.plans == nil {
-		return sys.CompileRankPlan(user)
-	}
 	baseKey := planBaseKey(user, sys.RulesFingerprint(), e)
 	key := planKey(user, sys.RulesFingerprint(), e, s.sessions.ContextEpoch())
 	if plan, ok := s.plans.get(key); ok {
@@ -501,7 +490,7 @@ func (s *Server) Apply(rec journal.Record) (Applied, error) {
 	var out Applied
 	var wait func() error
 	done := journal.Record{Op: rec.Op, BID: rec.BID}
-	epoch, err := s.facade.WithWriteEpoch(func(sys *contextrank.System) error {
+	epoch, err := s.facade.withWriteEpoch(func(sys *contextrank.System) error {
 		applied, opErr := s.applyLocked(sys, rec, &done, &out)
 		if applied {
 			if j := s.sessions.Journal(); j != nil {
@@ -837,9 +826,7 @@ func (s *Server) Stats() Stats {
 	if s.cache != nil {
 		st.Cache = s.cache.stats()
 	}
-	if s.plans != nil {
-		st.Plans = s.plans.stats()
-	}
+	st.Plans = s.plans.stats()
 	st.Health = s.health.healthInfo()
 	if j := s.sessions.Journal(); j != nil {
 		// Journal counters are atomics; reading them keeps the scrape

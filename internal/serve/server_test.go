@@ -7,9 +7,14 @@ import (
 	contextrank "repro"
 )
 
+// injectIntruder writes a foreign row into the CtxA context concept
+// through the SQL write path — the way data can land in a table the
+// session layer owns (the assert path refuses session concepts).
+const injectIntruder = "INSERT INTO c_CtxA VALUES ('intruder', NULL)"
+
 func TestServerRankCacheHitAndEpochInvalidation(t *testing.T) {
 	srv := NewServer(newTestSystem(t), Options{})
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -31,7 +36,7 @@ func TestServerRankCacheHitAndEpochInvalidation(t *testing.T) {
 
 	// A data mutation bumps the epoch and must invalidate: the next rank
 	// recomputes and equals a fresh uncached ranking.
-	if err := srv.Facade().AssertRole("hasGenre", "tv01", "g0", 0.9); err != nil {
+	if _, err := srv.Assert(nil, []RoleAssertion{{Role: "hasGenre", Src: "tv01", Dst: "g0", Prob: 0.9}}); err != nil {
 		t.Fatal(err)
 	}
 	r3, m3, err := srv.Rank("peter", "TvProgram", contextrank.RankOptions{})
@@ -44,11 +49,7 @@ func TestServerRankCacheHitAndEpochInvalidation(t *testing.T) {
 	if m3.Epoch <= m1.Epoch {
 		t.Fatalf("epoch did not advance: %d -> %d", m1.Epoch, m3.Epoch)
 	}
-	fresh, err := srv.Facade().RankWith("peter", "TvProgram", contextrank.RankOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, r3, fresh)
+	sameResults(t, r3, freshRank(t, srv, "peter", "TvProgram"))
 
 	// tv01 gained a probable g0 genre, so its score must have moved.
 	score := func(rs []contextrank.Result, id string) float64 {
@@ -67,10 +68,10 @@ func TestServerRankCacheHitAndEpochInvalidation(t *testing.T) {
 
 func TestSessionUpdateInvalidatesOnlyThatUser(t *testing.T) {
 	srv := NewServer(newTestSystem(t), Options{})
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Sessions().Set("maria", []Measurement{{Concept: "CtxB", Prob: 1}}); err != nil {
+	if _, err := srv.SetSession("maria", []Measurement{{Concept: "CtxB", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	epochBefore := srv.Facade().Epoch()
@@ -84,7 +85,7 @@ func TestSessionUpdateInvalidatesOnlyThatUser(t *testing.T) {
 	}
 
 	// Maria's context changes. Session updates must not bump the epoch...
-	if _, err := srv.Sessions().Set("maria", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
+	if _, err := srv.SetSession("maria", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := srv.Facade().Epoch(); got != epochBefore {
@@ -100,10 +101,7 @@ func TestSessionUpdateInvalidatesOnlyThatUser(t *testing.T) {
 		t.Fatal("peter's entry should have survived maria's update")
 	}
 	sameResults(t, rp2, rp)
-	freshP, err := srv.Facade().RankWith("peter", "TvProgram", contextrank.RankOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	freshP := freshRank(t, srv, "peter", "TvProgram")
 	sameResults(t, rp2, freshP)
 
 	// Maria's own next rank is a miss and reflects her new context: under
@@ -120,30 +118,29 @@ func TestSessionUpdateInvalidatesOnlyThatUser(t *testing.T) {
 
 func TestSessionFingerprints(t *testing.T) {
 	srv := NewServer(newTestSystem(t), Options{})
-	s := srv.Sessions()
-	fp1, err := s.Set("peter", []Measurement{{Concept: "CtxA", Prob: 1}})
+	fp1, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp2, err := s.Set("peter", []Measurement{{Concept: "CtxA", Prob: 0.5}})
+	fp2, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fp1 == fp2 {
 		t.Fatal("different measurements must fingerprint differently")
 	}
-	fp3, err := s.Set("peter", []Measurement{{Concept: "CtxA", Prob: 1}})
+	fp3, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fp3 != fp1 {
 		t.Fatal("identical measurements must fingerprint identically")
 	}
-	if got := s.Fingerprint("peter"); got != fp3 {
-		t.Fatalf("Fingerprint = %q, want %q", got, fp3)
+	if _, got, ok := srv.SessionInfo("peter"); !ok || got != fp3 {
+		t.Fatalf("SessionInfo fingerprint = %q (ok %v), want %q", got, ok, fp3)
 	}
-	if got := s.Fingerprint("nobody"); got != "" {
-		t.Fatalf("Fingerprint for unknown user = %q, want empty", got)
+	if _, got, ok := srv.SessionInfo("nobody"); ok || got != "" {
+		t.Fatalf("SessionInfo for unknown user = %q (ok %v), want none", got, ok)
 	}
 	// Measurement fields are free-form bytes; crafted separator bytes in
 	// one field must not collide two different lists (which would pin
@@ -158,53 +155,53 @@ func TestSessionFingerprints(t *testing.T) {
 	if a == b {
 		t.Fatal("separator injection collided two measurement lists")
 	}
-	if users := s.Users(); len(users) != 1 || users[0] != "peter" {
-		t.Fatalf("Users = %v", users)
+	if n := srv.sessions.Count(); n != 1 {
+		t.Fatalf("Count = %d, want 1", n)
 	}
-	if err := s.Drop("peter"); err != nil {
+	if err := srv.DropSession("peter"); err != nil {
 		t.Fatal(err)
 	}
-	if s.Count() != 0 {
+	if srv.sessions.Count() != 0 {
 		t.Fatal("session survived Drop")
 	}
-	if err := s.Drop("peter"); err != nil {
+	if err := srv.DropSession("peter"); err != nil {
 		t.Fatal("double Drop should be a no-op, got", err)
 	}
 }
 
 func TestSessionValidation(t *testing.T) {
 	srv := NewServer(newTestSystem(t), Options{})
-	if _, err := srv.Sessions().Set("", nil); err == nil {
+	if _, err := srv.SetSession("", nil); err == nil {
 		t.Fatal("empty user accepted")
 	}
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "", Prob: 1}}); err == nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "", Prob: 1}}); err == nil {
 		t.Fatal("empty concept accepted")
 	}
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Prob: 1.5}}); err == nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1.5}}); err == nil {
 		t.Fatal("probability > 1 accepted")
 	}
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Prob: math.NaN()}}); err == nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: math.NaN()}}); err == nil {
 		t.Fatal("NaN probability accepted")
 	}
-	if _, err := srv.Sessions().Set("peter", []Measurement{
+	if _, err := srv.SetSession("peter", []Measurement{
 		{Concept: "CtxA", Prob: math.NaN(), Exclusive: "g"},
 		{Concept: "CtxB", Prob: 0.1, Exclusive: "g"},
 	}); err == nil {
 		t.Fatal("NaN exclusive-group probability accepted")
 	}
 	// Only the session's own user may be asserted.
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Individual: "maria", Prob: 1}}); err == nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Individual: "maria", Prob: 1}}); err == nil {
 		t.Fatal("foreign individual accepted")
 	}
 	// Exclusive group probabilities must sum to at most 1.
-	if _, err := srv.Sessions().Set("peter", []Measurement{
+	if _, err := srv.SetSession("peter", []Measurement{
 		{Concept: "CtxA", Prob: 0.7, Exclusive: "loc"},
 		{Concept: "CtxB", Prob: 0.7, Exclusive: "loc"},
 	}); err == nil {
 		t.Fatal("exclusive group summing to 1.4 accepted")
 	}
 	// A failed Set must not leave a phantom session behind.
-	if srv.Sessions().Count() != 0 {
+	if srv.sessions.Count() != 0 {
 		t.Fatal("failed Set left a session")
 	}
 }
@@ -213,11 +210,11 @@ func TestSessionRefusesDataConcepts(t *testing.T) {
 	srv := NewServer(newTestSystem(t), Options{})
 	// TvProgram holds ten data assertions; a session context naming it
 	// would clear the catalog on apply.
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "TvProgram", Prob: 1}}); err == nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "TvProgram", Prob: 1}}); err == nil {
 		t.Fatal("data concept accepted as session context")
 	}
 	// The catalog must be untouched by the rejected update.
-	res, err := srv.Facade().Query("SELECT id FROM c_TvProgram")
+	res, err := srv.Query("SELECT id FROM c_TvProgram")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,23 +224,21 @@ func TestSessionRefusesDataConcepts(t *testing.T) {
 	// Pure context concepts — even rule-declared ones — stay usable, and
 	// re-use after a prior apply (own rows in the table) stays accepted.
 	for i := 0; i < 2; i++ {
-		if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
+		if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
 			t.Fatalf("apply %d: %v", i, err)
 		}
 	}
 }
 
 func TestFacadeReadPathRejectsDML(t *testing.T) {
-	f := NewFacade(newTestSystem(t))
+	srv := NewServer(newTestSystem(t), Options{})
+	f := srv.Facade()
 	epoch := f.Epoch()
 	if _, err := f.Query("INSERT INTO c_TvProgram VALUES ('rogue', NULL)"); err == nil {
 		t.Fatal("Query accepted INSERT")
 	}
-	if _, err := f.Query("  create table sneaky (id TEXT)"); err == nil {
+	if _, err := srv.Query("  create table sneaky (id TEXT)"); err == nil {
 		t.Fatal("Query accepted CREATE")
-	}
-	if _, err := f.RankQuery("peter", "DELETE FROM c_TvProgram", contextrank.RankOptions{}); err == nil {
-		t.Fatal("RankQuery accepted DELETE")
 	}
 	// Rejection must happen before execution: no rogue row, no epoch move.
 	res, err := f.Query("SELECT id FROM c_TvProgram")
@@ -260,22 +255,19 @@ func TestFacadeReadPathRejectsDML(t *testing.T) {
 
 func TestFailedSessionApplyRestoresPreviousContext(t *testing.T) {
 	srv := NewServer(newTestSystem(t), Options{})
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	want, err := srv.Facade().RankWith("peter", "TvProgram", contextrank.RankOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := freshRank(t, srv, "peter", "TvProgram")
 
 	// "Ctx-X" sanitizes to the same table as "Ctx_X", so declaring the
 	// latter makes a session on the former fail *inside* Context.Apply,
 	// after it may already have cleared other users' context assertions.
-	if err := srv.Facade().DeclareConcept("Ctx_X"); err != nil {
+	if _, err := srv.Declare([]string{"Ctx_X"}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	epochBefore := srv.Facade().Epoch()
-	if _, err := srv.Sessions().Set("maria", []Measurement{{Concept: "Ctx-X", Prob: 1}}); err == nil {
+	if _, err := srv.SetSession("maria", []Measurement{{Concept: "Ctx-X", Prob: 1}}); err == nil {
 		t.Fatal("colliding concept accepted")
 	}
 	// Two bumps: one from the failed apply, one after the restore so
@@ -283,33 +275,29 @@ func TestFailedSessionApplyRestoresPreviousContext(t *testing.T) {
 	if got := srv.Facade().Epoch(); got < epochBefore+2 {
 		t.Fatalf("epoch %d after failed apply, want >= %d (bump on failure and after restore)", got, epochBefore+2)
 	}
-	if srv.Sessions().Count() != 1 {
-		t.Fatalf("failed Set left %d sessions", srv.Sessions().Count())
+	if srv.sessions.Count() != 1 {
+		t.Fatalf("failed Set left %d sessions", srv.sessions.Count())
 	}
 
 	// Peter's context must have been restored: a fresh ranking matches
 	// the pre-failure one.
-	got, err := srv.Facade().RankWith("peter", "TvProgram", contextrank.RankOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, got, want)
+	sameResults(t, freshRank(t, srv, "peter", "TvProgram"), want)
 }
 
 func TestSessionGuardDetectsForeignAssertions(t *testing.T) {
 	srv := NewServer(newTestSystem(t), Options{})
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	// Someone injects data into the accepted context concept.
-	if err := srv.Facade().AssertConcept("CtxA", "intruder", 1); err != nil {
+	if _, _, err := srv.Exec(injectIntruder); err != nil {
 		t.Fatal(err)
 	}
 	// The next apply would clear that row; it must be refused instead.
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Prob: 0.9}}); err == nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 0.9}}); err == nil {
 		t.Fatal("apply over foreign assertions accepted")
 	}
-	res, err := srv.Facade().Query("SELECT id FROM c_CtxA")
+	res, err := srv.Query("SELECT id FROM c_CtxA")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +317,7 @@ func TestRoleCoupledSessionUpdateBumpsEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(sys, Options{})
-	if err := srv.Facade().AssertRole("watchesWith", "bob", "ada", 1); err != nil {
+	if _, err := srv.Assert(nil, []RoleAssertion{{Role: "watchesWith", Src: "bob", Dst: "ada", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -345,7 +333,7 @@ func TestRoleCoupledSessionUpdateBumpsEpoch(t *testing.T) {
 	// rule's role filler, so bob's ranking changes: the update must
 	// invalidate globally.
 	before := srv.Facade().Epoch()
-	if _, err := srv.Sessions().Set("ada", []Measurement{{Concept: "InKitchen", Prob: 1}}); err != nil {
+	if _, err := srv.SetSession("ada", []Measurement{{Concept: "InKitchen", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if srv.Facade().Epoch() == before {
@@ -358,18 +346,14 @@ func TestRoleCoupledSessionUpdateBumpsEpoch(t *testing.T) {
 	if m3.Cached {
 		t.Fatal("bob served a stale ranking after ada's role-coupled update")
 	}
-	fresh, err := srv.Facade().RankWith("bob", "TvProgram", contextrank.RankOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, r3, fresh)
+	sameResults(t, r3, freshRank(t, srv, "bob", "TvProgram"))
 	if r1[0].Score == r3[0].Score {
 		t.Fatal("rule rc did not change bob's score — coupling test is vacuous")
 	}
 
 	// Role-free vocabulary keeps the per-user fast path.
 	before = srv.Facade().Epoch()
-	if _, err := srv.Sessions().Set("maria", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
+	if _, err := srv.SetSession("maria", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if srv.Facade().Epoch() != before {
@@ -379,23 +363,23 @@ func TestRoleCoupledSessionUpdateBumpsEpoch(t *testing.T) {
 
 func TestSessionGuardProtectsRetractedConcepts(t *testing.T) {
 	srv := NewServer(newTestSystem(t), Options{})
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Facade().AssertConcept("CtxA", "intruder", 1); err != nil {
+	if _, _, err := srv.Exec(injectIntruder); err != nil {
 		t.Fatal(err)
 	}
 	// Switching to CtxB retracts CtxA (it leaves the snapshot), which
 	// would clear the intruder row — must be refused even though CtxA is
 	// not in the new measurement list.
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxB", Prob: 1}}); err == nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxB", Prob: 1}}); err == nil {
 		t.Fatal("retraction over foreign assertions accepted")
 	}
 	// Dropping the session retracts it just the same.
-	if err := srv.Sessions().Drop("peter"); err == nil {
+	if err := srv.DropSession("peter"); err == nil {
 		t.Fatal("drop over foreign assertions accepted")
 	}
-	res, err := srv.Facade().Query("SELECT id FROM c_CtxA")
+	res, err := srv.Query("SELECT id FROM c_CtxA")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +390,7 @@ func TestSessionGuardProtectsRetractedConcepts(t *testing.T) {
 
 func TestAlgorithmSpellingsShareCacheEntry(t *testing.T) {
 	srv := NewServer(newTestSystem(t), Options{})
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := srv.Rank("peter", "TvProgram", contextrank.RankOptions{}); err != nil {
@@ -421,79 +405,33 @@ func TestAlgorithmSpellingsShareCacheEntry(t *testing.T) {
 	}
 }
 
-func TestSessionApplyInvalidatesFacadeContextUsers(t *testing.T) {
-	srv := NewServer(newTestSystem(t), Options{})
-	f := srv.Facade()
-	// Peter's context arrives through the facade, not a session: his
-	// cache key carries no fingerprint.
-	if err := f.SetContext(contextrank.NewContext("peter").Certain("CtxA")); err != nil {
-		t.Fatal(err)
-	}
-	r1, _, err := srv.Rank("peter", "TvProgram", contextrank.RankOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, m2, err := srv.Rank("peter", "TvProgram", contextrank.RankOptions{}); err != nil || !m2.Cached {
-		t.Fatalf("expected cached hit (err %v)", err)
-	}
-	// Zoe's session apply retracts the facade snapshot, changing peter's
-	// rankings — it must invalidate his fingerprint-less cache entries.
-	if _, err := srv.Sessions().Set("zoe", []Measurement{{Concept: "CtxB", Prob: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	r3, m3, err := srv.Rank("peter", "TvProgram", contextrank.RankOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m3.Cached {
-		t.Fatal("stale facade-context ranking served from cache after session apply")
-	}
-	fresh, err := f.RankWith("peter", "TvProgram", contextrank.RankOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResults(t, r3, fresh)
-	if r1[0].Score == r3[0].Score {
-		t.Fatal("retracting CtxA left peter's top score unchanged — invalidation test is vacuous")
-	}
-	// Subsequent session applies (no external context anymore) keep the
-	// no-bump fast path.
-	before := f.Epoch()
-	if _, err := srv.Sessions().Set("zoe", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if f.Epoch() != before {
-		t.Fatal("session apply without a facade context bumped the epoch")
-	}
-}
-
 func TestSessionGuardCountsDistinctRows(t *testing.T) {
 	srv := NewServer(newTestSystem(t), Options{})
 	// Two measurements of the same (concept, individual) merge into one
 	// table row; the guard must count 1, not 2.
-	if _, err := srv.Sessions().Set("peter", []Measurement{
+	if _, err := srv.SetSession("peter", []Measurement{
 		{Concept: "CtxA", Prob: 1},
 		{Concept: "CtxA", Prob: 0.9},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Facade().AssertConcept("CtxA", "intruder", 1); err != nil {
+	if _, _, err := srv.Exec(injectIntruder); err != nil {
 		t.Fatal(err)
 	}
 	// Table now holds 2 rows (peter + intruder); with the inflated count
 	// of 2 the foreign row would slip through and be destroyed.
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err == nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err == nil {
 		t.Fatal("foreign assertion not detected after duplicate measurements")
 	}
 }
 
 func TestAppliedFingerprintPublication(t *testing.T) {
 	srv := NewServer(newTestSystem(t), Options{})
-	s := srv.Sessions()
+	s := srv.sessions
 	if got := s.AppliedFingerprint("peter"); got != "" {
 		t.Fatalf("fingerprint before any session = %q", got)
 	}
-	fp, err := s.Set("peter", []Measurement{{Concept: "CtxA", Prob: 1}})
+	fp, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,13 +439,13 @@ func TestAppliedFingerprintPublication(t *testing.T) {
 		t.Fatalf("applied fingerprint %q != returned %q", got, fp)
 	}
 	// A rejected update leaves the applied fingerprint at the old value.
-	if _, err := s.Set("peter", []Measurement{{Concept: "TvProgram", Prob: 1}}); err == nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "TvProgram", Prob: 1}}); err == nil {
 		t.Fatal("expected rejection")
 	}
 	if got := s.AppliedFingerprint("peter"); got != fp {
 		t.Fatalf("rejected update changed applied fingerprint to %q", got)
 	}
-	if err := s.Drop("peter"); err != nil {
+	if err := srv.DropSession("peter"); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.AppliedFingerprint("peter"); got != "" {
@@ -517,7 +455,7 @@ func TestAppliedFingerprintPublication(t *testing.T) {
 
 func TestServerWithCacheDisabled(t *testing.T) {
 	srv := NewServer(newTestSystem(t), Options{CacheSize: -1})
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
@@ -537,7 +475,7 @@ func TestServerWithCacheDisabled(t *testing.T) {
 
 func TestServerStats(t *testing.T) {
 	srv := NewServer(newTestSystem(t), Options{})
-	if _, err := srv.Sessions().Set("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
+	if _, err := srv.SetSession("peter", []Measurement{{Concept: "CtxA", Prob: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {

@@ -45,8 +45,8 @@ type Measurement = situation.Measurement
 //   - A session may only assert its own user (Measurement.Individual must
 //     be empty or equal to the session user). Asserting other individuals
 //     could change other users' rankings without invalidating their
-//     cached entries; multi-individual snapshots belong on
-//     Facade.SetContext, whose epoch bump invalidates everyone.
+//     cached entries; multi-individual snapshots are not supported by the
+//     serving layer.
 //   - A session may not use a concept that already holds data assertions
 //     (applying a context clears and re-asserts its concepts, which would
 //     destroy the data — e.g. a session context named "TvProgram" would
@@ -56,7 +56,7 @@ type Measurement = situation.Measurement
 // A *failed* apply does bump the epoch: the snapshot application is
 // multi-step and may have partially destroyed the previous context, so
 // every cached ranking is conservatively invalidated (the same
-// over-invalidation policy as Facade mutators).
+// over-invalidation policy as every other mutation).
 type Sessions struct {
 	f *Facade
 	// health is the owning server's journal failure domain: session
@@ -148,7 +148,7 @@ func (s *Sessions) Set(user string, measurements []Measurement) (string, error) 
 			return "", fmt.Errorf("serve: measurement %s has probability %g outside [0,1]", m.Concept, m.Prob)
 		}
 		if m.Individual != "" && m.Individual != user {
-			return "", fmt.Errorf("serve: session for %q may not assert individual %q; use the facade's SetContext for multi-individual snapshots", user, m.Individual)
+			return "", fmt.Errorf("serve: session for %q may not assert individual %q; a session asserts only its own user", user, m.Individual)
 		}
 		if m.Exclusive != "" {
 			exclusiveSums[m.Exclusive] += m.Prob
@@ -324,18 +324,6 @@ func (s *Sessions) dropLocked(user string) (func() error, error) {
 	return wait, nil
 }
 
-// Fingerprint returns the user's current context fingerprint, or "" when
-// the user has no session (ranking then sees whatever context, if any, was
-// applied through the facade directly).
-func (s *Sessions) Fingerprint(user string) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sess, ok := s.users[user]; ok {
-		return sess.fingerprint
-	}
-	return ""
-}
-
 // AppliedFingerprint returns the fingerprint of the user's last
 // successfully applied session context, without taking the session mutex —
 // safe to call while holding the facade lock (either side).
@@ -344,12 +332,6 @@ func (s *Sessions) AppliedFingerprint(user string) string {
 		return v.(string)
 	}
 	return ""
-}
-
-// Measurements returns a copy of the user's session measurements.
-func (s *Sessions) Measurements(user string) ([]Measurement, bool) {
-	ms, _, ok := s.Snapshot(user)
-	return ms, ok
 }
 
 // Snapshot returns the user's measurements together with the matching
@@ -377,18 +359,6 @@ func (s *Sessions) Snapshot(user string) ([]Measurement, string, bool) {
 func (s *Sessions) IsSessionConcept(concept string) bool {
 	_, ok := s.appliedConcepts.Load(concept)
 	return ok
-}
-
-// Users returns the sorted users with live sessions.
-func (s *Sessions) Users() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.users))
-	for u := range s.users {
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Count returns the number of live sessions. It is lock-free (reading a
@@ -482,14 +452,7 @@ func (s *Sessions) applyMergedFacadeLocked(changed map[string]bool) error {
 			return fmt.Errorf("serve: concept %q holds %d assertions not made by the session layer; refusing to use it as session context (applying would clear them) — use a dedicated context concept", c, n-s.appliedRows[c])
 		}
 	}
-	// Applying the merged snapshot retracts the previous one. When that
-	// previous snapshot came from Facade.SetContext, session-less users
-	// lose their context here, and no fingerprint of theirs can change —
-	// bump the epoch to invalidate their cached rankings.
-	if f.externalCtx {
-		f.epoch.Add(1)
-		f.externalCtx = false
-	} else if s.rolesCoupleLocked(changed) {
+	if s.rolesCoupleLocked(changed) {
 		// A concept this update changes appears inside a role-restriction
 		// filler of a registered rule (e.g. WHEN ∃watchesWith.InKitchen):
 		// asserting the user's own membership can then flip the rule for
@@ -501,7 +464,7 @@ func (s *Sessions) applyMergedFacadeLocked(changed map[string]bool) error {
 	}
 	if err := f.sys.SetContext(merged); err != nil {
 		// The snapshot may be half-applied; invalidate every cached
-		// ranking, mirroring the facade's mutator-error policy.
+		// ranking, mirroring the policy for every other failed mutation.
 		f.epoch.Add(1)
 		return err
 	}

@@ -121,7 +121,12 @@ func TestBroadcastConsistency(t *testing.T) {
 			t.Fatalf("shard %d holds %d TvProgram rows, want 2", i, len(res.Rows))
 		}
 		// Neutral ranking (no session context) must agree across shards.
-		out, err := s.Facade().RankWith("nobody", "TvProgram", contextrank.RankOptions{})
+		var out []contextrank.Result
+		err = s.Facade().WithRead(func(sys *contextrank.System) error {
+			var rerr error
+			out, rerr = sys.RankWith("nobody", "TvProgram", contextrank.RankOptions{})
+			return rerr
+		})
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}

@@ -8,14 +8,14 @@
 // subscriptions after mutations. It is woken by a buffered poke channel
 // (every mutator pokes on its way out; a poke during a pass stays queued,
 // so the pass after it observes the newest state) and skips any
-// subscription whose state key — (facade epoch, context epoch, the
-// user's applied session fingerprint) — has not moved since its last
-// evaluation, so a context apply for user A never pays a re-rank for
-// user B. Evaluation goes through RankBatch: one facade read-lock hold
-// and one compiled plan per pass — and after a context apply that plan
-// is *refreshed* incrementally from the previous epoch's plan rather
-// than recompiled (see planFor), which is what makes push re-ranking
-// affordable at catalog scale.
+// subscription whose state key — (facade epoch, the user's applied
+// session fingerprint), the validity rule the rank cache's keys use — has
+// not moved since its last evaluation, so a context apply for user A
+// never pays a re-rank for user B. Evaluation goes through RankBatch: one
+// facade read-lock hold and one compiled plan per pass — and after a
+// context apply that plan is *refreshed* incrementally from the previous
+// epoch's plan rather than recompiled (see planFor), which is what makes
+// push re-ranking affordable at catalog scale.
 //
 // Events are pushed into a bounded per-subscription channel consumed by
 // one SSE listener (GET /v1/subscriptions/{id}/events). When the
@@ -139,7 +139,6 @@ type Subscription struct {
 	// evaluated + the state key of the last evaluation; see evalSub.
 	evaluated bool
 	lastEpoch int64
-	lastCtx   int64
 	lastFP    string
 	lastErr   string
 	events    chan SubEvent
@@ -523,17 +522,20 @@ func (s *Server) subEvalLoop() {
 
 // evalSub re-ranks one subscription if its state key moved, and pushes a
 // snapshot (first evaluation), delta (scores moved) or error event. The
-// key — (facade epoch, context epoch, applied session fingerprint) — is
-// read *before* ranking: if a mutation lands mid-rank, the stored key is
-// stale against it, so that mutation's own poke re-evaluates and the
-// subscriber can never miss a change (at worst it sees an empty diff).
+// key — (facade epoch, applied session fingerprint) — is the rank cache's
+// validity rule (see rankKey): another user's context apply re-declares
+// this user's context events under fresh names, which invalidates
+// compiled plans (planKey carries the context epoch for that) but not
+// this user's scores. The key is read *before* ranking: if a mutation
+// lands mid-rank, the stored key is stale against it, so that mutation's
+// own poke re-evaluates and the subscriber can never miss a change (at
+// worst it sees an empty diff).
 func (s *Server) evalSub(sub *Subscription) {
 	epoch := s.facade.Epoch()
-	ctxE := s.sessions.ContextEpoch()
 	fp := s.sessions.AppliedFingerprint(sub.spec.User)
 
 	sub.mu.Lock()
-	if sub.closed || (sub.evaluated && sub.lastEpoch == epoch && sub.lastCtx == ctxE && sub.lastFP == fp) {
+	if sub.closed || (sub.evaluated && sub.lastEpoch == epoch && sub.lastFP == fp) {
 		sub.mu.Unlock()
 		s.subs.skipped.Add(1)
 		return
@@ -558,7 +560,7 @@ func (s *Server) evalSub(sub *Subscription) {
 	if sub.closed {
 		return
 	}
-	sub.lastEpoch, sub.lastCtx, sub.lastFP = epoch, ctxE, fp
+	sub.lastEpoch, sub.lastFP = epoch, fp
 	first := !sub.evaluated
 	sub.evaluated = true
 	if err != nil {

@@ -440,3 +440,57 @@ func TestSubscriptionChurnRace(t *testing.T) {
 		t.Fatalf("stats.Subs = %+v after churn, want evaluation counts", stats.Subs)
 	}
 }
+
+// TestSubscriptionIgnoresOtherUsersApplies: a context apply for user A
+// retires and re-declares every session's context events, but it cannot
+// move user B's scores, so B's subscription must not be re-ranked. Its
+// state key is (facade epoch, B's applied fingerprint) — the rank cache's
+// validity rule — not the shard-wide context epoch every apply bumps.
+// The background evaluator is kept from starting and each evaluator pass
+// runs synchronously, so the counts are exact.
+func TestSubscriptionIgnoresOtherUsersApplies(t *testing.T) {
+	srv := subTestServer(t)
+	srv.subs.once.Do(func() {}) // no background evaluator: passes run below
+	applyCtx(t, srv, "maria", "CtxB", 1)
+	info, err := srv.Subscribe("", SubscriptionSpec{User: "maria", Target: "TvProgram"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := srv.SubscriptionStream(info.ID) // runs the first evaluation
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	srv.subs.mu.Lock()
+	sub := srv.subs.subs[info.ID]
+	srv.subs.mu.Unlock()
+
+	before := srv.Stats().Subs
+	for i := 0; i < 10; i++ {
+		applyCtx(t, srv, "peter", "CtxA", 0.5+float64(i)/20)
+		srv.evalSub(sub)
+	}
+	after := srv.Stats().Subs
+	if after.Evals != before.Evals {
+		t.Fatalf("10 applies by peter re-ranked maria's subscription %d times, want 0",
+			after.Evals-before.Evals)
+	}
+	if after.Skipped != before.Skipped+10 {
+		t.Fatalf("skipped %d passes, want 10", after.Skipped-before.Skipped)
+	}
+	select {
+	case ev := <-st.Events():
+		t.Fatalf("unexpected %q event for maria after peter's applies", ev.Type)
+	default:
+	}
+
+	// Maria's own apply still re-ranks and pushes the delta.
+	applyCtx(t, srv, "maria", "CtxA", 1)
+	srv.evalSub(sub)
+	if got := srv.Stats().Subs.Evals; got != after.Evals+1 {
+		t.Fatalf("maria's own apply: evals %d -> %d, want +1", after.Evals, got)
+	}
+	if ev := waitEvent(t, st.Events()); ev.Type != "delta" {
+		t.Fatalf("maria's own apply pushed %q, want delta", ev.Type)
+	}
+}
