@@ -15,14 +15,10 @@
 // serve: load-generate the internal/serve layer over HTTP — N goroutine
 // clients with per-user session contexts ranking the TV-watcher dataset
 // against cmd/carserved's stack in-process (-clients, -benchdur, -churn,
-// -assertevery, -cachesize, -ctxprob, -shards). Reports a memory column
-// (heap and event-space size before/after) — with -churn and -ctxprob < 1
-// it shows event retirement holding the space bounded. With a
-// comma-separated -shards list (e.g. -shards 1,2,4,8) it runs the sharded
-// coordinator at each count under a mixed apply+rank workload and prints
-// the req/s scaling curve with a cross-shard-broadcast latency column.
-// Not part of -exp all: it is a throughput demonstration, not a paper
-// reproduction.
+// -assertevery, -cachesize, -ctxprob). Reports a memory column (heap and
+// event-space size before/after) — with -churn and -ctxprob < 1 it shows
+// event retirement holding the space bounded. Not part of -exp all: it is
+// a throughput demonstration, not a paper reproduction.
 //
 // rankbatch: drive POST /v1/rank/batch under per-request session churn and
 // print the batch-size-vs-throughput curve (-batchsizes 1,2,4,8,16): every
@@ -38,7 +34,7 @@
 // Retry-After while admitted requests stay at in-SLO latency.
 //
 // journal: the session-durability overhead experiment — the same mixed
-// apply+rank HTTP load twice, without and with the per-shard session WAL
+// apply+rank HTTP load twice, without and with the write-ahead journal
 // (internal/serve/journal, fsync per group commit), printing the req/s
 // delta and the journal's group-commit/compaction counters. Durable
 // sessions should cost a few percent at most: the rank path never touches
@@ -87,7 +83,6 @@ func main() {
 		seed     = flag.Int64("seed", 42, "random seed for synthetic histories")
 
 		clients     = flag.Int("clients", 16, "serve: concurrent goroutine clients")
-		shardList   = flag.String("shards", "1", "serve: shard count, or comma-separated counts (1,2,4,8) for the scaling curve")
 		benchdur    = flag.Duration("benchdur", 5*time.Second, "serve: load-generation duration")
 		churn       = flag.Int("churn", 0, "serve: session context update every N ranks per client (0 = never)")
 		assertevery = flag.Duration("assertevery", 0, "serve: background fact-assertion interval bumping the epoch (0 = off)")
@@ -229,9 +224,8 @@ func main() {
 
 	if strings.EqualFold(*exp, "serve") {
 		ran = true
-		counts, err := parseShardList(*shardList)
-		exitOn(err)
-		cfg := loadgenConfig{
+		section("SERVE — internal/serve concurrent ranking service under HTTP load")
+		_, err := runServeLoadgen(loadgenConfig{
 			Spec:        spec,
 			Rules:       *maxRules,
 			Clients:     *clients,
@@ -240,34 +234,16 @@ func main() {
 			AssertEvery: *assertevery,
 			CacheSize:   *cachesize,
 			CtxProb:     *ctxprob,
-		}
-		if len(counts) > 1 {
-			// The curve needs enough concurrent sessions to expose apply
-			// contention; raise the client default unless set explicitly.
-			explicit := map[string]bool{}
-			flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-			if !explicit["clients"] {
-				cfg.Clients = 128
-			}
-			section("SERVE — shard scaling curve under mixed apply+rank HTTP load")
-			exitOn(runServeShardCurve(cfg, counts))
-		} else {
-			section("SERVE — internal/serve concurrent ranking service under HTTP load")
-			cfg.Shards = counts[0]
-			_, err := runServeLoadgen(cfg)
-			exitOn(err)
-		}
+		})
+		exitOn(err)
 	}
 
 	if strings.EqualFold(*exp, "journal") {
 		ran = true
-		counts, err := parseShardList(*shardList)
-		exitOn(err)
 		section("JOURNAL — session WAL overhead: durable vs in-memory sessions under mixed apply+rank load")
 		exitOn(runJournalLoadgen(loadgenConfig{
 			Spec:      spec,
 			Rules:     *maxRules,
-			Shards:    counts[0],
 			Clients:   *clients,
 			Duration:  *benchdur,
 			Churn:     *churn,
@@ -337,7 +313,7 @@ func main() {
 
 	if strings.EqualFold(*exp, "rankbatch") {
 		ran = true
-		sizes, err := parseShardList(*batchSizes)
+		sizes, err := parseCountList(*batchSizes)
 		exitOn(err)
 		section("RANKBATCH — /v1/rank/batch amortization: batch size vs items/s under session churn")
 		exitOn(runRankBatchLoadgen(loadgenConfig{
@@ -363,15 +339,14 @@ func main() {
 // deferred functions.
 var flushProfiles = func() {}
 
-// parseShardList parses the -shards value: one count, or a comma list for
-// the scaling curve.
-func parseShardList(s string) ([]int, error) {
+// parseCountList parses a comma list of positive counts (-batchsizes).
+func parseCountList(s string) ([]int, error) {
 	parts := strings.Split(s, ",")
 	out := make([]int, 0, len(parts))
 	for _, p := range parts {
 		n, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -shards value %q (want a positive count or a comma list like 1,2,4,8)", s)
+			return nil, fmt.Errorf("bad count list %q (want positive counts like 1,2,4,8)", s)
 		}
 		out = append(out, n)
 	}

@@ -463,8 +463,7 @@ func planOptsOK(opts RankOptions) error {
 // HotPathStats reports the effectiveness of the rank hot path's pooled
 // scratch arenas and per-plan document-distribution caches. The counters
 // are process-global (plans come and go through caches; the scratch pool
-// is shared), so the serving layer reports them once per process, not per
-// shard.
+// is shared), so the serving layer reports them once per process.
 type HotPathStats = core.HotPathStats
 
 // ReadHotPathStats returns the process-wide rank hot-path counters.

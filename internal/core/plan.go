@@ -445,7 +445,7 @@ var ErrPlanNotRefreshable = fmt.Errorf("core: plan cannot be refreshed increment
 //   - Document-side distributions: adopted from the predecessor for every
 //     candidate whose membership events are unchanged, provided the cluster
 //     layout is identical and the event space's footprint diff
-//     (ChangedBlocksSince) confirms no document block was retired,
+//     (BlocksChangedSince) confirms no document block was retired,
 //     regrouped or re-declared since they were computed. Re-scoring then
 //     touches only candidates the change actually reached.
 func (p *Plan) Refresh() (*Plan, error) {
@@ -460,7 +460,6 @@ func (p *Plan) Refresh() (*Plan, error) {
 	for _, c := range curCtx {
 		touched[c] = true
 	}
-	changed, _, tracked := p.space.ChangedBlocksSince(p.blocksGen)
 	// A context apply for a first-seen individual grows dl_domain, which
 	// changes the membership of every view that reads the closed domain
 	// (¬, ⊤, nominals). An unchanged size proves no registration happened,
@@ -488,14 +487,10 @@ func (p *Plan) Refresh() (*Plan, error) {
 			rule: old.rule, ctxEv: ctxEv, ctxProb: pCtx,
 			prefConcepts: old.prefConcepts, domainDep: old.domainDep,
 		}
-		blocksOK := tracked && p.docBlocks != nil && p.docBlocks[i] != nil
+		blocksOK := p.docBlocks != nil && p.docBlocks[i] != nil
 		if blocksOK {
-			for _, k := range p.docBlocks[i] {
-				if changed[k] {
-					blocksOK = false
-					break
-				}
-			}
+			changed, _, tracked := p.space.BlocksChangedSince(p.blocksGen, p.docBlocks[i])
+			blocksOK = tracked && !changed
 		}
 		refetch := old.domainDep && domainGrew
 		for _, c := range old.prefConcepts {
@@ -574,21 +569,18 @@ func (np *Plan) adoptDocDist(p *Plan, changedIDs map[string]bool) {
 	if n == 0 {
 		return
 	}
-	changed, asOf, tracked := np.space.ChangedBlocksSince(oldGen)
-	if !tracked {
-		return
-	}
+	var footprint [][]string
 	for _, cl := range np.clusters {
 		for _, ri := range cl.rules {
 			if np.docBlocks[ri] == nil {
 				return
 			}
-			for _, k := range np.docBlocks[ri] {
-				if changed[k] {
-					return
-				}
-			}
+			footprint = append(footprint, np.docBlocks[ri])
 		}
+	}
+	changed, asOf, tracked := np.space.BlocksChangedSince(oldGen, footprint...)
+	if changed || !tracked {
+		return
 	}
 	p.docMu.RLock()
 	if p.docGen != oldGen {

@@ -51,12 +51,19 @@ type Space struct {
 	// keys (in Blocks' key space) whose probability semantics that
 	// invalidation may have altered — the footprint diff that incremental
 	// plan maintenance intersects against a plan's cached footprints.
-	// Ascending by gen; bounded by maxTrackedChanges, with changeFloor the
+	// Ascending by gen; bounded by maxTrackedChanges generations and
+	// maxTrackedKeys keys (changeKeys counts them), with changeFloor the
 	// highest generation whose changes were trimmed away (callers asking
 	// about older generations must assume everything changed). Guarded by
 	// cacheMu.
 	changes     []genChange
+	changeKeys  int
 	changeFloor uint64
+	// lastChanged indexes the same history by key: the latest generation
+	// in changes that recorded the key. Entries at or below changeFloor
+	// are trimmed with the history, so the index holds only keys the
+	// retained history mentions. Guarded by cacheMu.
+	lastChanged map[string]uint64
 }
 
 // genChange is one invalidation's changed-block record.
@@ -65,11 +72,18 @@ type genChange struct {
 	keys []string
 }
 
-// maxTrackedChanges bounds the change history. A context apply costs a
-// handful of generations (one retire plus one declare per exclusive
-// group), so the bound covers hundreds of applies between a plan's compile
-// and its refresh; older plans just lose the incremental fast path.
-const maxTrackedChanges = 4096
+// maxTrackedChanges and maxTrackedKeys bound the change history. A
+// context apply costs a handful of generations (one retire plus one
+// declare per exclusive group) but retires every live session's context
+// events, so it records O(sessions) keys; the key bound keeps the history
+// and its index near 1 MB however many sessions churn (without it, the
+// setup of 512 sessions alone retained ~260k keys). At 256 sessions the
+// bounds still cover 16 or more applies between a plan's compile and its
+// refresh; older plans just lose the incremental fast path.
+const (
+	maxTrackedChanges = 4096
+	maxTrackedKeys    = 1 << 14
+)
 
 // cacheEntry memoizes one expression's probability together with the basic
 // events it mentions, so Retire can invalidate exactly the entries that a
@@ -360,39 +374,59 @@ func (s *Space) invalidateMentioning(names, changedKeys []string) {
 // after incrementing gen.
 func (s *Space) recordChangeLocked(keys []string) {
 	s.changes = append(s.changes, genChange{gen: s.gen, keys: keys})
-	if len(s.changes) > maxTrackedChanges {
-		drop := len(s.changes) / 2
-		s.changeFloor = s.changes[drop-1].gen
-		s.changes = append([]genChange(nil), s.changes[drop:]...)
+	s.changeKeys += len(keys)
+	if s.lastChanged == nil {
+		s.lastChanged = make(map[string]uint64)
+	}
+	for _, k := range keys {
+		s.lastChanged[k] = s.gen
+	}
+	if len(s.changes) <= maxTrackedChanges && s.changeKeys <= maxTrackedKeys {
+		return
+	}
+	// Trim the oldest generations down to half of both bounds (keeping
+	// the newest), so trims — each a pass over the index — stay rare.
+	drop := 0
+	for drop < len(s.changes)-1 && (len(s.changes)-drop > maxTrackedChanges/2 || s.changeKeys > maxTrackedKeys/2) {
+		s.changeKeys -= len(s.changes[drop].keys)
+		drop++
+	}
+	if drop == 0 {
+		return // one generation alone exceeds the key bound; keep it
+	}
+	s.changeFloor = s.changes[drop-1].gen
+	s.changes = append([]genChange(nil), s.changes[drop:]...)
+	for k, g := range s.lastChanged {
+		if g <= s.changeFloor {
+			delete(s.lastChanged, k)
+		}
 	}
 }
 
-// ChangedBlocksSince returns every correlated-block key (in Blocks' key
-// space) whose probability semantics may have changed by an invalidation
-// after generation gen, together with the generation the answer is valid
-// as of. ok is false when the change history no longer reaches back to
-// gen — the caller must then assume every block changed. A plan compiled
-// at generation g whose cached footprint is disjoint from the returned
-// set is guaranteed that none of its footprint blocks were retired,
-// regrouped or re-declared in (g, asOf]: its document-side probabilities
-// are still exact.
-func (s *Space) ChangedBlocksSince(gen uint64) (keys map[string]bool, asOf uint64, ok bool) {
+// BlocksChangedSince reports whether any correlated-block key (in Blocks'
+// key space) in keySets may have had its probability semantics changed
+// by an invalidation after generation gen, together with the generation
+// the answer is valid as of. ok is false when the change history no
+// longer reaches back to gen — the caller must then assume every block
+// changed. A plan compiled at generation g whose cached footprint keys
+// report unchanged is guaranteed that none of its footprint blocks were
+// retired, regrouped or re-declared in (g, asOf]: its document-side
+// probabilities are still exact. The cost is one index lookup per key,
+// however much unrelated churn the history holds.
+func (s *Space) BlocksChangedSince(gen uint64, keySets ...[]string) (changed bool, asOf uint64, ok bool) {
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
 	if gen < s.changeFloor {
-		return nil, s.gen, false
+		return true, s.gen, false
 	}
-	keys = make(map[string]bool)
-	for i := len(s.changes) - 1; i >= 0; i-- {
-		c := s.changes[i]
-		if c.gen <= gen {
-			break
-		}
-		for _, k := range c.keys {
-			keys[k] = true
+	for _, keys := range keySets {
+		for _, k := range keys {
+			if s.lastChanged[k] > gen {
+				return true, s.gen, true
+			}
 		}
 	}
-	return keys, s.gen, true
+	return false, s.gen, true
 }
 
 // Generation returns the space's invalidation counter. It advances on

@@ -2,7 +2,7 @@
 // the serving stack's failure-domain tests and the chaos smoke. Faults
 // are armed at runtime (no build tags): an Injector holds a list of
 // armed Faults, each naming an injection Point (a filesystem operation
-// of the journal's FS seam, a shard broadcast apply, the rank path) and
+// of the journal's FS seam, or the rank path) and
 // a trigger — every op, every nth op, after a warmup, a seeded random
 // rate, a bounded fire count. A fired fault injects a delay, an error
 // (ENOSPC/EIO/... mapped to real syscall errors so errors.Is works), a
@@ -40,16 +40,13 @@ const (
 	FSSync   Point = "fs.sync"
 	FSRename Point = "fs.rename"
 	FSRemove Point = "fs.remove"
-	// BroadcastApply fires inside the per-shard broadcast fan-out
-	// goroutine, before the shard applies the vocabulary write. Shard
-	// selects the replica.
-	BroadcastApply Point = "broadcast.apply"
-	// RankServe fires at the top of the coordinator's rank path.
+	// RankServe fires at the top of the server's rank paths (Rank and
+	// RankBatch).
 	RankServe Point = "rank.serve"
 )
 
-// Fault is one armed fault: where it fires (Point plus the Shard/Match
-// selectors), when it fires (Nth/Rate/After/Count), and what it injects
+// Fault is one armed fault: where it fires (Point plus the Match
+// selector), when it fires (Nth/Rate/After/Count), and what it injects
 // (Delay, then Panic or an error). With neither Err nor Panic set, a
 // fault with a delay injects only the delay; otherwise it injects EIO.
 type Fault struct {
@@ -73,11 +70,9 @@ type Fault struct {
 	After int `json:"after,omitempty"`
 	// Count disarms the fault after this many fires (0 = unlimited).
 	Count int `json:"count,omitempty"`
-	// Shard restricts broadcast.apply / rank.serve faults to one shard.
-	Shard *int `json:"shard,omitempty"`
 	// Match restricts fs.* faults to paths containing this substring
-	// (e.g. "-001.wal" for shard 1's journal, ".compact" for the
-	// compaction temp file, "manifest" for manifest switches).
+	// (e.g. ".wal" for the journal, ".compact" for the compaction temp
+	// file, "manifest" for manifest switches).
 	Match string `json:"match,omitempty"`
 }
 
@@ -182,15 +177,14 @@ func (in *Injector) Snapshot() []FaultStatus {
 // Enabled reports lock-free whether any fault is armed.
 func (in *Injector) Enabled() bool { return in != nil && in.enabled.Load() }
 
-// Fire evaluates the faults at a shard-selected point (broadcast.apply,
-// rank.serve). shard < 0 matches any selector. A fired panic fault
-// panics; a fired error fault returns the mapped error; a delay-only
-// fault sleeps and returns nil.
-func (in *Injector) Fire(p Point, shard int) error {
+// Fire evaluates the faults at a non-filesystem point (rank.serve). A
+// fired panic fault panics; a fired error fault returns the mapped
+// error; a delay-only fault sleeps and returns nil.
+func (in *Injector) Fire(p Point) error {
 	if in == nil || !in.enabled.Load() {
 		return nil
 	}
-	_, err := in.eval(p, shard, "", 0)
+	_, err := in.eval(p, "", 0)
 	return err
 }
 
@@ -199,7 +193,7 @@ func (in *Injector) FireFS(p Point, path string) error {
 	if in == nil || !in.enabled.Load() {
 		return nil
 	}
-	_, err := in.eval(p, -1, path, 0)
+	_, err := in.eval(p, path, 0)
 	return err
 }
 
@@ -211,20 +205,17 @@ func (in *Injector) FireWrite(p Point, path string, n int) (int, error) {
 	if in == nil || !in.enabled.Load() {
 		return n, nil
 	}
-	return in.eval(p, -1, path, n)
+	return in.eval(p, path, n)
 }
 
 // eval advances trigger counters for every matching fault and applies
 // the first that fires.
-func (in *Injector) eval(p Point, shard int, path string, n int) (int, error) {
+func (in *Injector) eval(p Point, path string, n int) (int, error) {
 	var hit *Fault
 	in.mu.Lock()
 	for _, a := range in.faults {
 		f := &a.f
 		if f.Point != p {
-			continue
-		}
-		if f.Shard != nil && shard >= 0 && *f.Shard != shard {
 			continue
 		}
 		if f.Match != "" && !strings.Contains(path, f.Match) {

@@ -9,7 +9,7 @@ import (
 
 func TestNilAndDisabledInjectorAreNoops(t *testing.T) {
 	var nilIn *Injector
-	if err := nilIn.Fire(RankServe, 0); err != nil {
+	if err := nilIn.Fire(RankServe); err != nil {
 		t.Fatalf("nil injector fired: %v", err)
 	}
 	if nilIn.Enabled() {
@@ -23,7 +23,7 @@ func TestNilAndDisabledInjectorAreNoops(t *testing.T) {
 	if in.Enabled() {
 		t.Fatal("fresh injector claims enabled")
 	}
-	if err := in.Fire(RankServe, 0); err != nil {
+	if err := in.Fire(RankServe); err != nil {
 		t.Fatalf("disabled injector fired: %v", err)
 	}
 }
@@ -64,7 +64,7 @@ func TestNthAfterCountTriggers(t *testing.T) {
 	}
 	var fired []int
 	for op := 1; op <= 14; op++ {
-		if err := in.Fire(RankServe, 0); err != nil {
+		if err := in.Fire(RankServe); err != nil {
 			fired = append(fired, op)
 		}
 	}
@@ -77,12 +77,12 @@ func TestNthAfterCountTriggers(t *testing.T) {
 func TestRateIsDeterministicPerSeed(t *testing.T) {
 	run := func() []int {
 		in := New(42)
-		if err := in.Arm(Fault{Point: BroadcastApply, Rate: 0.5}); err != nil {
+		if err := in.Arm(Fault{Point: RankServe, Rate: 0.5}); err != nil {
 			t.Fatal(err)
 		}
 		var fired []int
 		for op := 0; op < 32; op++ {
-			if err := in.Fire(BroadcastApply, 1); err != nil {
+			if err := in.Fire(RankServe); err != nil {
 				fired = append(fired, op)
 			}
 		}
@@ -99,19 +99,8 @@ func TestRateIsDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestShardAndMatchSelectors(t *testing.T) {
+func TestMatchSelector(t *testing.T) {
 	in := New(1)
-	shard := 2
-	if err := in.Arm(Fault{Point: BroadcastApply, Shard: &shard}); err != nil {
-		t.Fatal(err)
-	}
-	if err := in.Fire(BroadcastApply, 1); err != nil {
-		t.Fatalf("wrong shard fired: %v", err)
-	}
-	if err := in.Fire(BroadcastApply, 2); err == nil {
-		t.Fatal("selected shard did not fire")
-	}
-
 	if err := in.Arm(Fault{Point: FSWrite, Match: "-001.wal"}); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +140,7 @@ func TestPanicFault(t *testing.T) {
 			t.Fatalf("panic payload %v", v)
 		}
 	}()
-	_ = in.Fire(RankServe, 0)
+	_ = in.Fire(RankServe)
 }
 
 func TestDisarmAndClear(t *testing.T) {
@@ -165,7 +154,7 @@ func TestDisarmAndClear(t *testing.T) {
 	if n := in.Disarm(RankServe); n != 1 {
 		t.Fatalf("disarmed %d, want 1", n)
 	}
-	if err := in.Fire(RankServe, 0); err != nil {
+	if err := in.Fire(RankServe); err != nil {
 		t.Fatalf("disarmed point fired: %v", err)
 	}
 	if !in.Enabled() {
@@ -186,7 +175,7 @@ func TestSnapshotCountsOpsAndFires(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		_ = in.Fire(RankServe, 0)
+		_ = in.Fire(RankServe)
 	}
 	snap := in.Snapshot()
 	if len(snap) != 1 {

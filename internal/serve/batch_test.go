@@ -322,8 +322,7 @@ func TestRankClusterBoundFallback(t *testing.T) {
 	}
 }
 
-// TestHTTPRankBatch drives the batch endpoint over HTTP, including the
-// sharded coordinator (the batch must land on the user's shard).
+// TestHTTPRankBatch drives the batch endpoint over HTTP.
 func TestHTTPRankBatch(t *testing.T) {
 	srv, user := batchServer(t, 4)
 	ts := httptest.NewServer(NewHandlerFor(srv))

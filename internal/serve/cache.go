@@ -231,24 +231,6 @@ func (c *rankCache) stats() CacheStats {
 	return s
 }
 
-// Merge sums two caches' counters — the shard coordinator uses it to
-// aggregate per-shard caches — and recomputes the combined hit rate.
-func (s CacheStats) Merge(o CacheStats) CacheStats {
-	out := CacheStats{
-		Size:      s.Size + o.Size,
-		Capacity:  s.Capacity + o.Capacity,
-		Hits:      s.Hits + o.Hits,
-		Misses:    s.Misses + o.Misses,
-		Coalesced: s.Coalesced + o.Coalesced,
-		Evicted:   s.Evicted + o.Evicted,
-		Refreshed: s.Refreshed + o.Refreshed,
-	}
-	if total := out.Hits + out.Misses + out.Coalesced; total > 0 {
-		out.HitRate = float64(out.Hits+out.Coalesced) / float64(total)
-	}
-	return out
-}
-
 func (s CacheStats) String() string {
 	return fmt.Sprintf("size=%d/%d hits=%d misses=%d coalesced=%d evicted=%d hit-rate=%.1f%%",
 		s.Size, s.Capacity, s.Hits, s.Misses, s.Coalesced, s.Evicted, 100*s.HitRate)

@@ -21,7 +21,7 @@ import (
 func newDegradableServer(t *testing.T, in *faultinject.Injector) (*httptest.Server, *Server) {
 	t.Helper()
 	srv := NewServer(contextrank.NewSystem(), Options{DegradeOnDiskError: true})
-	j, _, err := journal.Open(filepath.Join(t.TempDir(), "shard0.wal"),
+	j, _, err := journal.Open(filepath.Join(t.TempDir(), "server.wal"),
 		journal.Options{FS: faultinject.FS(in, nil)})
 	if err != nil {
 		t.Fatal(err)

@@ -25,8 +25,9 @@ import (
 // small, and the limit keeps a misbehaving client from ballooning memory.
 const maxBodyBytes = 1 << 20
 
-// Handler is the HTTP/JSON front-end over a serving Backend — a single
-// *Server or a sharded shard.Coordinator (net/http only).
+// Handler is the HTTP/JSON front-end over a serving Backend — a
+// *Server, or the shard.Coordinator that adds durability to one
+// (net/http only).
 //
 // Endpoints:
 //
@@ -57,7 +58,7 @@ const maxBodyBytes = 1 << 20
 // cannot drift between them. Every non-2xx response body is the
 // canonical error envelope: {"error", "code", "request_id"} with a
 // machine-readable code (bad_request, unknown_user, not_found, conflict,
-// rate_limited, degraded, quarantined, internal).
+// rate_limited, degraded, internal).
 type Handler struct {
 	srv       Backend
 	mux       *http.ServeMux
@@ -120,7 +121,7 @@ type HandlerOptions struct {
 	// Chaos, when set, exposes the fault injector at /v1/chaos
 	// (GET = armed faults with counters, POST {"faults":[...]} = arm,
 	// DELETE = disarm all). Serving-side injection points (rank,
-	// broadcast, journal FS) must be wired to the same injector by the
+	// journal FS) must be wired to the same injector by the
 	// daemon. Never set it in production without authentication in
 	// front: armed faults are real outages.
 	Chaos *faultinject.Injector
@@ -163,7 +164,7 @@ func NewHandlerWith(srv Backend, opts HandlerOptions) http.Handler {
 func (h *Handler) admitUser(w http.ResponseWriter, r *http.Request, user string) bool {
 	ok, retry := h.admission.AllowUser(user)
 	if !ok {
-		annotate(r, user, -1)
+		annotate(r, user)
 		writeShed(w, r, retry, fmt.Errorf("serve: user %q over rate limit", user))
 		return false
 	}
@@ -177,8 +178,8 @@ func (h *Handler) admitUser(w http.ResponseWriter, r *http.Request, user string)
 type errorResponse struct {
 	Error string `json:"error"`
 	// Code is the machine-readable error class — bad_request,
-	// unknown_user, not_found, conflict, rate_limited, degraded,
-	// quarantined or internal — stable across message-text changes, so
+	// unknown_user, not_found, conflict, rate_limited, degraded or
+	// internal — stable across message-text changes, so
 	// clients branch on it instead of parsing Error.
 	Code string `json:"code"`
 	// RequestID ties the error to its access-log line and X-Request-ID
@@ -311,7 +312,6 @@ type rankResponse struct {
 	Results []resultJSON `json:"results"`
 	Cached  bool         `json:"cached"`
 	Epoch   int64        `json:"epoch"`
-	Shard   int          `json:"shard"` // always 0 on an unsharded server
 	Micros  int64        `json:"micros"`
 }
 
@@ -336,7 +336,6 @@ type rankItemJSON struct {
 type rankBatchResponse struct {
 	Items  []rankBatchItemJSON `json:"items"`
 	Epoch  int64               `json:"epoch"`
-	Shard  int                 `json:"shard"`
 	Micros int64               `json:"micros"`
 }
 
@@ -452,7 +451,7 @@ func (h *Handler) setSession(w http.ResponseWriter, r *http.Request) {
 	if !h.admitUser(w, r, user) {
 		return
 	}
-	annotate(r, user, -1)
+	annotate(r, user)
 	var req sessionRequest
 	if !decodeBody(w, r, &req) {
 		return
@@ -477,7 +476,7 @@ func (h *Handler) setSession(w http.ResponseWriter, r *http.Request) {
 
 func (h *Handler) getSession(w http.ResponseWriter, r *http.Request) {
 	user := r.PathValue("user")
-	annotate(r, user, -1)
+	annotate(r, user)
 	ms, fp, ok := h.srv.SessionInfo(user)
 	if !ok {
 		writeErrorCode(w, r, http.StatusNotFound, "unknown_user", fmt.Errorf("serve: no session for %q", user))
@@ -553,7 +552,7 @@ func (h *Handler) rank(w http.ResponseWriter, r *http.Request, req rankRequest) 
 		return
 	}
 	results, meta, err := h.srv.Rank(req.User, req.Target, opts)
-	annotate(r, req.User, meta.Shard)
+	annotate(r, req.User)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
@@ -562,7 +561,6 @@ func (h *Handler) rank(w http.ResponseWriter, r *http.Request, req rankRequest) 
 		Results: resultsJSON(results),
 		Cached:  meta.Cached,
 		Epoch:   meta.Epoch,
-		Shard:   meta.Shard,
 		Micros:  meta.Elapsed.Microseconds(),
 	}
 	writeJSON(w, r, http.StatusOK, out)
@@ -621,7 +619,7 @@ func (h *Handler) rankBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	results, meta, err := h.srv.RankBatch(req.User, contextrank.Algorithm(req.Algorithm), items)
-	annotate(r, req.User, meta.Shard)
+	annotate(r, req.User)
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
@@ -629,7 +627,6 @@ func (h *Handler) rankBatch(w http.ResponseWriter, r *http.Request) {
 	out := rankBatchResponse{
 		Items:  make([]rankBatchItemJSON, len(results)),
 		Epoch:  meta.Epoch,
-		Shard:  meta.Shard,
 		Micros: meta.Elapsed.Microseconds(),
 	}
 	for i, item := range results {
@@ -684,7 +681,7 @@ func (h *Handler) subscribe(w http.ResponseWriter, r *http.Request) {
 		Limit:      opts.Limit,
 		TopK:       opts.TopK,
 	})
-	annotate(r, req.User, info.Shard)
+	annotate(r, req.User)
 	if err != nil {
 		writeMutationError(w, r, http.StatusBadRequest, err)
 		return
@@ -704,7 +701,7 @@ func (h *Handler) getSubscription(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	for _, info := range h.srv.Subscriptions() {
 		if info.ID == id {
-			annotate(r, info.User, info.Shard)
+			annotate(r, info.User)
 			writeJSON(w, r, http.StatusOK, info)
 			return
 		}
@@ -745,7 +742,7 @@ func (h *Handler) subscriptionEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer st.Close()
-	annotate(r, st.User(), -1)
+	annotate(r, st.User())
 
 	rc := http.NewResponseController(w)
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -849,18 +846,12 @@ func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, r, http.StatusOK, h.srv.Stats())
 }
 
-// healthzShard is one shard's row in the /healthz detail.
-type healthzShard struct {
-	Shard  int    `json:"shard"`
-	State  string `json:"state"`
-	Reason string `json:"reason,omitempty"`
-}
-
 // healthz reports liveness plus the failure-domain state. The status is
-// always 200 — a degraded or quarantined daemon is alive and serving
-// reads; restarting it (what orchestrators do with failing liveness
-// probes) would only destroy the in-memory state repair needs. The body
-// carries the aggregate state and per-shard detail for operators.
+// always 200 — a degraded daemon is alive and serving reads; restarting
+// it (what orchestrators do with failing liveness probes) would only
+// destroy the in-memory state and the unjournaled tail the disk probe
+// re-journals. The body carries the state and its counters for
+// operators.
 func (h *Handler) healthz(w http.ResponseWriter, r *http.Request) {
 	st := h.srv.Stats()
 	resp := map[string]any{"status": "ok"}
@@ -869,17 +860,6 @@ func (h *Handler) healthz(w http.ResponseWriter, r *http.Request) {
 			resp["status"] = st.Health.State
 		}
 		resp["health"] = st.Health
-	}
-	if len(st.Shards) > 0 {
-		rows := make([]healthzShard, len(st.Shards))
-		for i, ss := range st.Shards {
-			rows[i] = healthzShard{Shard: i, State: StateHealthy}
-			if ss.Health != nil {
-				rows[i].State = ss.Health.State
-				rows[i].Reason = ss.Health.Reason
-			}
-		}
-		resp["shards"] = rows
 	}
 	writeJSON(w, r, http.StatusOK, resp)
 }
@@ -993,14 +973,10 @@ func writeJSON(w http.ResponseWriter, r *http.Request, status int, payload any) 
 }
 
 // errorCode maps a response status + error to the envelope's machine
-// code. Sentinel errors win over the status (a 503 caused by a
-// quarantined shard reports "quarantined", not the generic "degraded")
-// so clients can branch on the cause, not the transport code.
+// code. Sentinel errors win over the status so clients can branch on the
+// cause, not the transport code.
 func errorCode(status int, err error) string {
-	switch {
-	case err != nil && errors.Is(err, ErrQuarantined):
-		return "quarantined"
-	case err != nil && (errors.Is(err, ErrDegraded) || errors.Is(err, ErrNotJournaled)):
+	if err != nil && (errors.Is(err, ErrDegraded) || errors.Is(err, ErrNotJournaled)) {
 		return "degraded"
 	}
 	switch {

@@ -23,7 +23,7 @@ func attachTestJournal(t *testing.T, srv *Server, opts journal.Options) string {
 }
 
 // replayInto re-applies a WAL through a server's ordinary serving paths —
-// the unsharded equivalent of shard.Coordinator.Recover's replay.
+// a minimal stand-in for shard.Coordinator.Recover's replay.
 // Vocabulary records whose re-apply fails are skipped, mirroring the
 // recovery path's preserve-and-continue policy (a second replay pass over
 // the same WAL hits duplicate-declare style errors by design).

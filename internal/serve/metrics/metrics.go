@@ -12,7 +12,7 @@
 //     middleware; the registry renders them on every scrape.
 //   - Collectors are callbacks invoked per scrape to emit series derived
 //     from existing state — the serve layer uses one to turn a single
-//     Backend.Stats() snapshot into per-shard QPS/cache/journal series
+//     Backend.Stats() snapshot into QPS/cache/journal series
 //     without double bookkeeping.
 //
 // The exposition format is the Prometheus text format (version 0.0.4):

@@ -20,13 +20,12 @@ import (
 
 // reqInfo travels with a request through the middleware chain: the ID is
 // assigned (or adopted from X-Request-ID) before the handler runs, and
-// handlers annotate user/shard as they learn them so the access-log line
+// handlers annotate the user as they learn it so the access-log line
 // and error bodies are attributable. Handlers run on the request's own
 // goroutine, so plain fields need no synchronization.
 type reqInfo struct {
 	id        string
 	user      string
-	shard     int    // -1 until a routed operation reports its shard
 	encodeErr string // first response encode/write failure, for the access log
 }
 
@@ -41,14 +40,11 @@ func requestInfo(r *http.Request) *reqInfo {
 	return info
 }
 
-// annotate records the user (and shard, when >= 0) on the request's
-// reqInfo for the access log; a no-op without the middleware.
-func annotate(r *http.Request, user string, shard int) {
+// annotate records the user on the request's reqInfo for the access
+// log; a no-op without the middleware.
+func annotate(r *http.Request, user string) {
 	if info := requestInfo(r); info != nil {
 		info.user = user
-		if shard >= 0 {
-			info.shard = shard
-		}
 	}
 }
 
@@ -132,7 +128,6 @@ type accessLine struct {
 	Route     string `json:"route"`
 	Path      string `json:"path"`
 	Status    int    `json:"status"`
-	Shard     int    `json:"shard"`
 	User      string `json:"user,omitempty"`
 	LatencyUS int64  `json:"latency_us"`
 	Bytes     int64  `json:"bytes"`
@@ -187,7 +182,7 @@ func observe(next http.Handler, accessLog io.Writer, hm *httpMetrics) http.Handl
 		if id == "" || len(id) > 128 {
 			id = newRequestID()
 		}
-		info := &reqInfo{id: id, shard: -1}
+		info := &reqInfo{id: id}
 		r = r.WithContext(context.WithValue(r.Context(), reqInfoKey, info))
 		w.Header().Set("X-Request-ID", id)
 		rec := &statusRecorder{ResponseWriter: w}
@@ -214,7 +209,6 @@ func observe(next http.Handler, accessLog io.Writer, hm *httpMetrics) http.Handl
 				Route:       route,
 				Path:        r.URL.Path,
 				Status:      rec.status,
-				Shard:       info.shard,
 				User:        info.user,
 				LatencyUS:   elapsed.Microseconds(),
 				Bytes:       rec.bytes,
@@ -283,7 +277,7 @@ func recoverPanics(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if v := recover(); v != nil {
-				NotePanic()
+				panicsTotal.Add(1)
 				writeError(w, r, http.StatusInternalServerError,
 					fmt.Errorf("serve: internal panic: %v", v))
 			}

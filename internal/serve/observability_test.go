@@ -60,11 +60,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	text := body.String()
 
 	for _, want := range []string{
-		`carserve_rank_requests_total{shard="0"} 2`,
-		`carserve_sessions{shard="0"} 1`,
-		`carserve_rank_cache_hits_total{shard="0"} 1`,
-		`carserve_rank_latency_seconds_count{shard="0"} 2`,
-		`carserve_rank_latency_seconds_bucket{shard="0",le="+Inf"} 2`,
+		"carserve_rank_requests_total 2\n",
+		"carserve_sessions 1\n",
+		"carserve_rank_cache_hits_total 1\n",
+		"carserve_rank_latency_seconds_count 2\n",
+		`carserve_rank_latency_seconds_bucket{le="+Inf"} 2`,
+		`carserve_health{state="healthy"} 1`,
 		`carserve_http_requests_total{route="GET /v1/rank",code="200"} 2`,
 		`carserve_shed_total{reason="queue_full"} 0`,
 		`carserve_shed_total{reason="rate_limit"} 0`,

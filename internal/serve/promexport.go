@@ -1,95 +1,69 @@
 package serve
 
 import (
-	"strconv"
-
 	"repro/internal/serve/journal"
 	"repro/internal/serve/metrics"
 )
 
 // RegisterBackendMetrics exposes a serving backend's counters as
-// carserve_* Prometheus series. Per-shard series are derived from
-// Stats.Shards when the backend is sharded; an unsharded Server is
-// exported as shard "0", so dashboards are identical either way. The
-// whole export is one lock-free Stats() call per scrape — no second
-// bookkeeping layer that could drift from /v1/stats, and no scrape-time
-// contention with rank traffic (the PR-3 discipline).
+// carserve_* Prometheus series. The whole export is one lock-free
+// Stats() call per scrape — no second bookkeeping layer that could drift
+// from /v1/stats, and no scrape-time contention with rank traffic.
 func RegisterBackendMetrics(reg *metrics.Registry, b Backend) {
 	reg.Collect(func(w *metrics.Writer) {
 		st := b.Stats()
-		shards := st.Shards
-		if len(shards) == 0 {
-			shards = []Stats{st}
+		gauge := func(name, help string, v float64) {
+			w.Family(name, "gauge", help)
+			w.Sample(name, v)
+		}
+		counter := func(name, help string, v float64) {
+			w.Family(name, "counter", help)
+			w.Sample(name, v)
 		}
 
-		w.Family("carserve_uptime_seconds", "gauge", "Seconds since the backend started.")
-		w.Sample("carserve_uptime_seconds", st.UptimeSeconds)
-		w.Family("carserve_epoch", "gauge", "Current facade epoch (vocabulary/data version).")
-		w.Sample("carserve_epoch", float64(st.Epoch))
-		w.Family("carserve_rules", "gauge", "Registered preference rules.")
-		w.Sample("carserve_rules", float64(st.Rules))
+		gauge("carserve_uptime_seconds", "Seconds since the backend started.", st.UptimeSeconds)
+		gauge("carserve_epoch", "Current facade epoch (vocabulary/data version).", float64(st.Epoch))
+		gauge("carserve_rules", "Registered preference rules.", float64(st.Rules))
+		gauge("carserve_sessions", "Live sessions.", float64(st.Sessions))
+		gauge("carserve_events", "Declared basic events (growth = event leak).", float64(st.Events))
+		counter("carserve_rank_requests_total", "Rank requests (single + batch items).", float64(st.Requests))
 
-		w.Family("carserve_sessions", "gauge", "Live sessions per shard.")
-		for i, s := range shards {
-			w.Sample("carserve_sessions", float64(s.Sessions), "shard", strconv.Itoa(i))
-		}
-		w.Family("carserve_events", "gauge", "Declared basic events per shard (growth = event leak).")
-		for i, s := range shards {
-			w.Sample("carserve_events", float64(s.Events), "shard", strconv.Itoa(i))
-		}
-		w.Family("carserve_rank_requests_total", "counter", "Rank requests (single + batch items) per shard.")
-		for i, s := range shards {
-			w.Sample("carserve_rank_requests_total", float64(s.Requests), "shard", strconv.Itoa(i))
-		}
-
-		w.Family("carserve_rank_latency_seconds", "histogram", "Rank call latency per shard.")
-		for i, s := range shards {
-			if len(s.Latency.Buckets) == 0 {
-				continue
-			}
+		w.Family("carserve_rank_latency_seconds", "histogram", "Rank call latency.")
+		if len(st.Latency.Buckets) > 0 {
 			// The recorder tracks an exact all-time sum in microseconds via
 			// the mean; reconstruct seconds for the histogram _sum line.
-			sum := s.Latency.MeanMicros * float64(s.Latency.Count) / 1e6
-			w.Histogram("carserve_rank_latency_seconds", RankLatencyBuckets,
-				s.Latency.Buckets, sum, "shard", strconv.Itoa(i))
+			sum := st.Latency.MeanMicros * float64(st.Latency.Count) / 1e6
+			w.Histogram("carserve_rank_latency_seconds", RankLatencyBuckets, st.Latency.Buckets, sum)
 		}
 
-		exportCache(w, "carserve_rank_cache", "rank-result", shards, func(s Stats) CacheStats { return s.Cache })
-		exportCache(w, "carserve_plan_cache", "compiled-rank-plan", shards, func(s Stats) CacheStats { return s.Plans })
+		exportCache(counter, gauge, "carserve_rank_cache", "rank-result", st.Cache)
+		exportCache(counter, gauge, "carserve_plan_cache", "compiled-rank-plan", st.Plans)
 
-		exportJournal(w, shards)
-
-		if st.Checkpoints != nil {
-			w.Family("carserve_checkpoints_total", "counter", "Completed background checkpoints.")
-			w.Sample("carserve_checkpoints_total", float64(st.Checkpoints.Count))
-			w.Family("carserve_checkpoint_failures_total", "counter", "Failed background checkpoint attempts.")
-			w.Sample("carserve_checkpoint_failures_total", float64(st.Checkpoints.Failures))
-			w.Family("carserve_checkpoint_last_unixtime", "gauge", "Completion time of the last successful checkpoint.")
-			w.Sample("carserve_checkpoint_last_unixtime", float64(st.Checkpoints.LastUnix))
-			w.Family("carserve_checkpoint_last_duration_seconds", "gauge", "Wall time of the last successful checkpoint.")
-			w.Sample("carserve_checkpoint_last_duration_seconds", st.Checkpoints.LastDurationMicros/1e6)
-			w.Family("carserve_checkpoint_last_seq", "gauge", "Highest journal sequence the last checkpoint covered.")
-			w.Sample("carserve_checkpoint_last_seq", float64(st.Checkpoints.LastSeq))
+		if j := st.Journal; j != nil {
+			exportJournal(w, counter, gauge, *j)
 		}
 
-		if st.Recovery != nil {
-			w.Family("carserve_recovery_records_total", "counter", "WAL records read during boot-time recovery.")
-			w.Sample("carserve_recovery_records_total", float64(st.Recovery.Records))
+		if c := st.Checkpoints; c != nil {
+			counter("carserve_checkpoints_total", "Completed background checkpoints.", float64(c.Count))
+			counter("carserve_checkpoint_failures_total", "Failed background checkpoint attempts.", float64(c.Failures))
+			gauge("carserve_checkpoint_last_unixtime", "Completion time of the last successful checkpoint.", float64(c.LastUnix))
+			gauge("carserve_checkpoint_last_duration_seconds", "Wall time of the last successful checkpoint.", c.LastDurationMicros/1e6)
+			gauge("carserve_checkpoint_last_seq", "Highest journal sequence the last checkpoint covered.", float64(c.LastSeq))
+		}
+
+		if rs := st.Recovery; rs != nil {
+			counter("carserve_recovery_records_total", "WAL records read during boot-time recovery.", float64(rs.Records))
 			w.Family("carserve_recovery_applied_total", "counter", "Recovery records re-applied, by kind.")
-			w.Sample("carserve_recovery_applied_total", float64(st.Recovery.Users), "kind", "session")
-			w.Sample("carserve_recovery_applied_total", float64(st.Recovery.VocabApplied()), "kind", "vocab")
+			w.Sample("carserve_recovery_applied_total", float64(rs.Users), "kind", "session")
+			w.Sample("carserve_recovery_applied_total", float64(rs.VocabApplied()), "kind", "vocab")
 			w.Family("carserve_recovery_skipped_total", "counter", "Recovery records skipped, by reason.")
-			w.Sample("carserve_recovery_skipped_total", float64(st.Recovery.SkippedCheckpoint), "reason", "checkpoint_covered")
-			w.Sample("carserve_recovery_skipped_total", float64(st.Recovery.SkippedDuplicate), "reason", "duplicate_broadcast")
-			w.Family("carserve_recovery_failed_total", "counter", "Recovery records whose re-apply failed (preserved in the WAL).")
-			w.Sample("carserve_recovery_failed_total", float64(st.Recovery.Failed))
+			w.Sample("carserve_recovery_skipped_total", float64(rs.SkippedCheckpoint), "reason", "checkpoint_covered")
+			w.Sample("carserve_recovery_skipped_total", float64(rs.SkippedDuplicate), "reason", "duplicate_broadcast")
+			counter("carserve_recovery_failed_total", "Recovery records whose re-apply failed (preserved in the WAL).", float64(rs.Failed))
 		}
 
-		if st.HotPath != nil {
-			// Process-global rank hot-path counters (see core.HotPathStats):
-			// not per-shard, because every shard shares one scratch pool and
-			// one set of atomics.
-			hp := st.HotPath
+		if hp := st.HotPath; hp != nil {
+			// Process-global rank hot-path counters (see core.HotPathStats).
 			w.Family("carserve_rank_scratch_total", "counter", "Rank scratch-arena acquisitions, by provenance (fresh = pool had to allocate).")
 			w.Sample("carserve_rank_scratch_total", float64(hp.ScratchGets-hp.ScratchNews), "result", "pooled")
 			w.Sample("carserve_rank_scratch_total", float64(hp.ScratchNews), "result", "fresh")
@@ -98,175 +72,71 @@ func RegisterBackendMetrics(reg *metrics.Registry, b Backend) {
 			w.Sample("carserve_doc_dist_cache_total", float64(hp.DocCacheMisses), "result", "miss")
 		}
 
-		if st.Broadcast != nil {
-			w.Family("carserve_broadcast_writes_total", "counter", "Cross-shard vocabulary broadcasts.")
-			w.Sample("carserve_broadcast_writes_total", float64(st.Broadcast.Writes))
-			w.Family("carserve_broadcast_mean_seconds", "gauge", "Mean broadcast wall time (slowest shard).")
-			w.Sample("carserve_broadcast_mean_seconds", st.Broadcast.MeanMicros/1e6)
-			w.Family("carserve_broadcast_max_seconds", "gauge", "Worst broadcast wall time since start.")
-			w.Sample("carserve_broadcast_max_seconds", st.Broadcast.MaxMicros/1e6)
-		}
-
-		if st.Subs != nil {
-			w.Family("carserve_subscriptions_active", "gauge", "Registered standing rank subscriptions.")
-			w.Sample("carserve_subscriptions_active", float64(st.Subs.Active))
-			w.Family("carserve_subscription_events_total", "counter", "Subscription events pushed (snapshots + deltas + errors).")
-			w.Sample("carserve_subscription_events_total", float64(st.Subs.Events))
+		if sub := st.Subs; sub != nil {
+			gauge("carserve_subscriptions_active", "Registered standing rank subscriptions.", float64(sub.Active))
+			counter("carserve_subscription_events_total", "Subscription events pushed (snapshots + deltas + errors).", float64(sub.Events))
 			w.Family("carserve_subscription_evals_total", "counter", "Subscription re-rank evaluations, by outcome (skipped = state key unchanged).")
-			w.Sample("carserve_subscription_evals_total", float64(st.Subs.Evals), "result", "evaluated")
-			w.Sample("carserve_subscription_evals_total", float64(st.Subs.Skipped), "result", "skipped")
-			w.Family("carserve_subscription_lag_events_total", "counter", "Events dropped because a stream consumer was behind (each run ends in a resync).")
-			w.Sample("carserve_subscription_lag_events_total", float64(st.Subs.Lagged))
+			w.Sample("carserve_subscription_evals_total", float64(sub.Evals), "result", "evaluated")
+			w.Sample("carserve_subscription_evals_total", float64(sub.Skipped), "result", "skipped")
+			counter("carserve_subscription_lag_events_total", "Events dropped because a stream consumer was behind (each run ends in a resync).", float64(sub.Lagged))
 		}
 
-		exportHealth(w, st, shards)
+		// Failure-domain series: the health state gauge, the recovered-panic
+		// counter and the degraded-mode counters.
+		counter("carserve_panics_total", "Panics recovered by the serving stack (per-request isolation) instead of killing the daemon.", float64(panicsTotal.Load()))
+		if h := st.Health; h != nil {
+			w.Family("carserve_health", "gauge", "Backend health by state (1 = the backend is in that state).")
+			for _, state := range []string{StateHealthy, StateDegraded} {
+				v := 0.0
+				if h.State == state {
+					v = 1.0
+				}
+				w.Sample("carserve_health", v, "state", state)
+			}
+			counter("carserve_degraded_recoveries_total", "Degraded-to-healthy transitions (the disk came back and the WAL re-armed).", float64(h.Recoveries))
+			gauge("carserve_unjournaled_tail_records", "Applied-but-unjournaled records awaiting re-journal on disk recovery.", float64(h.UnjournaledTail))
+		}
 	})
 }
 
-// exportHealth emits the failure-domain series: per-shard state gauges,
-// the recovered-panic counter, and quarantine/repair totals.
-func exportHealth(w *metrics.Writer, st Stats, shards []Stats) {
-	w.Family("carserve_panics_total", "counter", "Panics recovered by the serving stack (per-request and per-shard isolation) instead of killing the daemon.")
-	w.Sample("carserve_panics_total", float64(PanicsTotal()))
-
-	w.Family("carserve_shard_health", "gauge", "Shard health by state (1 = the shard is in that state).")
-	for i, s := range shards {
-		state := StateHealthy
-		if s.Health != nil && s.Health.State != "" {
-			state = s.Health.State
-		}
-		for _, candidate := range []string{StateHealthy, StateDegraded, StateQuarantined} {
-			v := 0.0
-			if state == candidate {
-				v = 1.0
-			}
-			w.Sample("carserve_shard_health", v, "shard", strconv.Itoa(i), "state", candidate)
-		}
-	}
-
-	if st.Health != nil {
-		w.Family("carserve_degraded_recoveries_total", "counter", "Degraded-to-healthy transitions (the disk came back and the WAL re-armed).")
-		w.Sample("carserve_degraded_recoveries_total", float64(st.Health.Recoveries))
-		w.Family("carserve_unjournaled_tail_records", "gauge", "Applied-but-unjournaled records awaiting re-journal on disk recovery.")
-		w.Sample("carserve_unjournaled_tail_records", float64(st.Health.UnjournaledTail))
-		w.Family("carserve_quarantines_total", "counter", "Shards quarantined after repeated broadcast failures.")
-		w.Sample("carserve_quarantines_total", float64(st.Health.Quarantines))
-		w.Family("carserve_repairs_total", "counter", "Quarantined shards repaired from the WAL and readmitted.")
-		w.Sample("carserve_repairs_total", float64(st.Health.Repairs))
-	}
+// exportCache emits one cache's hit/miss/evict counters and occupancy +
+// hit-ratio gauges under the given series prefix.
+func exportCache(counter, gauge func(name, help string, v float64), prefix, what string, c CacheStats) {
+	counter(prefix+"_hits_total", "Hits in the "+what+" cache.", float64(c.Hits))
+	counter(prefix+"_misses_total", "Misses in the "+what+" cache.", float64(c.Misses))
+	counter(prefix+"_evicted_total", "Evictions from the "+what+" cache.", float64(c.Evicted))
+	gauge(prefix+"_size", "Entries in the "+what+" cache.", float64(c.Size))
+	gauge(prefix+"_hit_ratio", "Hit fraction of the "+what+" cache since start.", c.HitRate)
 }
 
-// exportCache emits one cache's hit/miss/coalesce/evict counters and
-// occupancy + hit-ratio gauges per shard under the given series prefix.
-func exportCache(w *metrics.Writer, prefix, what string, shards []Stats, get func(Stats) CacheStats) {
-	w.Family(prefix+"_hits_total", "counter", "Hits in the "+what+" cache.")
-	for i, s := range shards {
-		w.Sample(prefix+"_hits_total", float64(get(s).Hits), "shard", strconv.Itoa(i))
+// exportJournal emits the WAL counters and the group-commit batch-size
+// histogram.
+func exportJournal(w *metrics.Writer, counter, gauge func(name, help string, v float64), j journal.Stats) {
+	counter("carserve_journal_appends_total", "Acknowledged WAL records.", float64(j.Appends))
+	counter("carserve_journal_fsyncs_total", "WAL file syncs.", float64(j.Fsyncs))
+	counter("carserve_journal_compactions_total", "WAL live-record rewrites.", float64(j.Compactions))
+	counter("carserve_journal_compact_failures_total", "Failed WAL compaction attempts.", float64(j.CompactFailures))
+	gauge("carserve_journal_bytes", "WAL file size.", float64(j.Bytes))
+	gauge("carserve_journal_live_records", "Users with a live WAL record.", float64(j.LiveRecords))
+	gauge("carserve_journal_vocab_records", "Vocabulary records awaiting a checkpoint.", float64(j.VocabRecords))
+	gauge("carserve_journal_vocab_bytes", "WAL bytes of vocabulary records since the last checkpoint (the size trigger's input).", float64(j.VocabBytes))
+	gauge("carserve_journal_checkpoint_seq", "Highest journal sequence covered by a checkpoint.", float64(j.CheckpointSeq))
+	degraded := 0.0
+	if j.Degraded {
+		degraded = 1.0
 	}
-	w.Family(prefix+"_misses_total", "counter", "Misses in the "+what+" cache.")
-	for i, s := range shards {
-		w.Sample(prefix+"_misses_total", float64(get(s).Misses), "shard", strconv.Itoa(i))
-	}
-	w.Family(prefix+"_evicted_total", "counter", "Evictions from the "+what+" cache.")
-	for i, s := range shards {
-		w.Sample(prefix+"_evicted_total", float64(get(s).Evicted), "shard", strconv.Itoa(i))
-	}
-	w.Family(prefix+"_size", "gauge", "Entries in the "+what+" cache.")
-	for i, s := range shards {
-		w.Sample(prefix+"_size", float64(get(s).Size), "shard", strconv.Itoa(i))
-	}
-	w.Family(prefix+"_hit_ratio", "gauge", "Hit fraction of the "+what+" cache since start.")
-	for i, s := range shards {
-		w.Sample(prefix+"_hit_ratio", get(s).HitRate, "shard", strconv.Itoa(i))
-	}
-}
+	gauge("carserve_journal_degraded", "1 while the WAL is sticky-failed and mutations are rejected.", degraded)
+	counter("carserve_journal_resets_total", "Successful WAL re-arms after a sticky write error (ResetAfter).", float64(j.Resets))
 
-// exportJournal emits the session-WAL counters and the group-commit
-// batch-size histogram for every shard that runs with a journal.
-func exportJournal(w *metrics.Writer, shards []Stats) {
-	any := false
-	for _, s := range shards {
-		if s.Journal != nil {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return
-	}
-	counter := func(name, help string, get func(journal.Stats) float64) {
-		w.Family(name, "counter", help)
-		for i, s := range shards {
-			if s.Journal != nil {
-				w.Sample(name, get(*s.Journal), "shard", strconv.Itoa(i))
-			}
-		}
-	}
-	counter("carserve_journal_appends_total", "Acknowledged session-WAL records.",
-		func(j journal.Stats) float64 { return float64(j.Appends) })
-	counter("carserve_journal_fsyncs_total", "Session-WAL file syncs.",
-		func(j journal.Stats) float64 { return float64(j.Fsyncs) })
-	counter("carserve_journal_compactions_total", "Session-WAL live-record rewrites.",
-		func(j journal.Stats) float64 { return float64(j.Compactions) })
-	counter("carserve_journal_compact_failures_total", "Failed session-WAL compaction attempts.",
-		func(j journal.Stats) float64 { return float64(j.CompactFailures) })
-
-	w.Family("carserve_journal_bytes", "gauge", "Session-WAL file size.")
-	for i, s := range shards {
-		if s.Journal != nil {
-			w.Sample("carserve_journal_bytes", float64(s.Journal.Bytes), "shard", strconv.Itoa(i))
-		}
-	}
-	w.Family("carserve_journal_live_records", "gauge", "Users with a live WAL record.")
-	for i, s := range shards {
-		if s.Journal != nil {
-			w.Sample("carserve_journal_live_records", float64(s.Journal.LiveRecords), "shard", strconv.Itoa(i))
-		}
-	}
-	w.Family("carserve_journal_vocab_records", "gauge", "Vocabulary records awaiting a checkpoint.")
-	for i, s := range shards {
-		if s.Journal != nil {
-			w.Sample("carserve_journal_vocab_records", float64(s.Journal.VocabRecords), "shard", strconv.Itoa(i))
-		}
-	}
-	w.Family("carserve_journal_vocab_bytes", "gauge", "WAL bytes of vocabulary records since the last checkpoint (the size trigger's input).")
-	for i, s := range shards {
-		if s.Journal != nil {
-			w.Sample("carserve_journal_vocab_bytes", float64(s.Journal.VocabBytes), "shard", strconv.Itoa(i))
-		}
-	}
-	w.Family("carserve_journal_checkpoint_seq", "gauge", "Highest journal sequence covered by a checkpoint.")
-	for i, s := range shards {
-		if s.Journal != nil {
-			w.Sample("carserve_journal_checkpoint_seq", float64(s.Journal.CheckpointSeq), "shard", strconv.Itoa(i))
-		}
-	}
-	w.Family("carserve_journal_degraded", "gauge", "1 while the shard's WAL is sticky-failed and mutations are rejected.")
-	for i, s := range shards {
-		if s.Journal != nil {
-			v := 0.0
-			if s.Journal.Degraded {
-				v = 1.0
-			}
-			w.Sample("carserve_journal_degraded", v, "shard", strconv.Itoa(i))
-		}
-	}
-	counter("carserve_journal_resets_total", "Successful WAL re-arms after a sticky write error (ResetAfter).",
-		func(j journal.Stats) float64 { return float64(j.Resets) })
-
-	bounds := make([]float64, len(journal.BatchSizeBuckets))
-	for i, b := range journal.BatchSizeBuckets {
-		bounds[i] = float64(b)
-	}
 	w.Family("carserve_journal_batch_records", "histogram",
 		"Records per group commit: mass above 1 means concurrent applies share fsyncs.")
-	for i, s := range shards {
-		if s.Journal == nil || len(s.Journal.BatchSizes) == 0 {
-			continue
+	if len(j.BatchSizes) > 0 {
+		bounds := make([]float64, len(journal.BatchSizeBuckets))
+		for i, b := range journal.BatchSizeBuckets {
+			bounds[i] = float64(b)
 		}
 		// _sum is total records = Appends; _count is Batches.
-		w.Histogram("carserve_journal_batch_records", bounds,
-			s.Journal.BatchSizes, float64(s.Journal.Appends), "shard", strconv.Itoa(i))
+		w.Histogram("carserve_journal_batch_records", bounds, j.BatchSizes, float64(j.Appends))
 	}
 }
 

@@ -36,14 +36,14 @@
 //     a full epoch bump (see Sessions).
 //
 // Handler exposes the whole thing over HTTP/JSON through the Backend
-// interface (cmd/carserved is the daemon around it). The shard subpackage
-// scales the layer horizontally: a shard.Coordinator owns N Servers,
-// routes per-user traffic by consistent hash and broadcasts vocabulary
-// writes, behind the same Backend interface. The journal subpackage makes
-// the served state crash-durable: with a WAL attached (AttachJournal),
-// every acknowledged mutation is fsynced before the acknowledgement and
-// boot replays it through the ordinary apply path. See DESIGN.md §3/§3.5/§3.6
-// for the architecture discussion.
+// interface (cmd/carserved is the daemon around it). The journal
+// subpackage makes the served state crash-durable: with a WAL attached
+// (AttachJournal), every acknowledged mutation is fsynced before the
+// acknowledgement and boot replays it through the ordinary apply path.
+// The shard subpackage owns that durability for one Server — WAL
+// generations, checkpoints, the degraded-disk probe — behind the same
+// Backend interface. One process runs one Server. See DESIGN.md
+// §3/§3.5/§3.6 for the architecture discussion.
 package serve
 
 import (

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	contextrank "repro"
+	"repro/internal/faultinject"
 	"repro/internal/serve/journal"
 )
 
@@ -26,26 +27,20 @@ type Options struct {
 }
 
 // Backend is the serving surface the HTTP handler (and the load
-// generators) speak to. Two implementations exist: *Server — one System
-// behind one facade — and shard.Coordinator, which routes per-user
-// operations to one of N Servers by consistent hash and broadcasts
-// vocabulary writes to all of them. The handler is written against this
-// interface so both serve the identical HTTP API.
+// generators) speak to. *Server is the implementation; shard.Coordinator
+// embeds a *Server and adds only durability (WAL generations,
+// checkpoints), so the handler serves the identical HTTP API over both.
 //
-// Both implementations turn each vocabulary write (Declare, Assert,
-// AddRules, RemoveRule, Exec) into one journal.Record and hand it to
-// Server.Apply — on every shard, under one broadcast id, for the
-// coordinator — which is also what WAL replay and quarantine repair call
-// with journaled records. Apply is the only code that maps a vocabulary
-// record to System calls.
+// Each vocabulary write (Declare, Assert, AddRules, RemoveRule, Exec)
+// becomes one journal.Record handed to Server.Apply, which is also what
+// WAL replay calls with journaled records. Apply is the only code that
+// maps a vocabulary record to System calls.
 type Backend interface {
 	// Rank ranks target for user through the backend's cache(s).
 	Rank(user, target string, opts contextrank.RankOptions) ([]contextrank.Result, RankMeta, error)
-	// Declare registers concepts, roles and subconcept axioms (a
-	// vocabulary write: sharded backends broadcast it to every shard).
+	// Declare registers concepts, roles and subconcept axioms.
 	Declare(concepts, roles []string, subs []SubConceptDecl) (int64, error)
-	// Assert adds (possibly uncertain) concept/role assertions (also a
-	// broadcast write under sharding).
+	// Assert adds (possibly uncertain) concept/role assertions.
 	Assert(concepts []ConceptAssertion, roles []RoleAssertion) (int64, error)
 	// Rules snapshots the registered preference rules.
 	Rules() []contextrank.Rule
@@ -55,9 +50,8 @@ type Backend interface {
 	// RemoveRule deletes a rule by name.
 	RemoveRule(name string) (int64, error)
 	// RankBatch ranks several targets/candidate lists for one user in a
-	// single call: one consistent snapshot, one compiled rank plan (for
-	// the factorized algorithm) shared by every item, and — under
-	// sharding — one hop to the user's owning shard.
+	// single call: one consistent snapshot and one compiled rank plan
+	// (for the factorized algorithm) shared by every item.
 	RankBatch(user string, algorithm contextrank.Algorithm, items []RankItem) ([]RankItemResult, RankMeta, error)
 	// SetSession replaces the user's session context.
 	SetSession(user string, ms []Measurement) (string, error)
@@ -109,6 +103,9 @@ type Server struct {
 	subs     *subRegistry
 	start    time.Time
 	requests atomic.Int64
+	// chaos is the optional fault injector for the rank paths (nil =
+	// disabled; one atomic load per rank).
+	chaos atomic.Pointer[faultinject.Injector]
 }
 
 var _ Backend = (*Server)(nil)
@@ -147,11 +144,22 @@ func (s *Server) AttachJournal(j *journal.Journal) { s.sessions.AttachJournal(j)
 // Journal returns the attached WAL, or nil.
 func (s *Server) Journal() *journal.Journal { return s.sessions.Journal() }
 
+// SetFaultInjector attaches a fault injector to the rank paths (point
+// rank.serve, fired before Rank and RankBatch do any work). Nil detaches.
+func (s *Server) SetFaultInjector(in *faultinject.Injector) { s.chaos.Store(in) }
+
+// rankFault fires the rank.serve fault point, if an injector is attached.
+func (s *Server) rankFault() error {
+	if in := s.chaos.Load(); in != nil {
+		return in.Fire(faultinject.RankServe)
+	}
+	return nil
+}
+
 // RankMeta describes how a Rank call was served.
 type RankMeta struct {
 	Cached  bool          // served from cache or coalesced onto another call
 	Epoch   int64         // facade epoch the result corresponds to
-	Shard   int           // shard that served the call (0 for an unsharded Server)
 	Elapsed time.Duration // wall time of this call
 }
 
@@ -159,6 +167,9 @@ type RankMeta struct {
 // (epoch, session fingerprint) is O(1), identical concurrent misses are
 // coalesced onto one computation, and the rest take the facade read path.
 func (s *Server) Rank(user, target string, opts contextrank.RankOptions) ([]contextrank.Result, RankMeta, error) {
+	if err := s.rankFault(); err != nil {
+		return nil, RankMeta{}, err
+	}
 	started := time.Now()
 	s.requests.Add(1)
 
@@ -317,6 +328,9 @@ type RankItemResult struct {
 // plan. Identical concurrent batch misses are not singleflight-coalesced;
 // the shared plan already removes the expensive duplicated work.
 func (s *Server) RankBatch(user string, alg contextrank.Algorithm, items []RankItem) ([]RankItemResult, RankMeta, error) {
+	if err := s.rankFault(); err != nil {
+		return nil, RankMeta{}, err
+	}
 	started := time.Now()
 	s.requests.Add(int64(len(items)))
 	if user == "" {
@@ -465,11 +479,11 @@ var vocabOps = map[journal.Op]string{
 
 // Apply applies one vocabulary write record — OpDeclare, OpAssert,
 // OpAddRules, OpRemoveRule or OpExec — in one epoch and journals what it
-// applied under rec.BID. It is the only path from a vocabulary record to
-// the System: the Backend mutators build a record and apply it, WAL
-// replay and quarantine repair apply the journaled record, and the shard
-// coordinator applies one record on every shard under one broadcast id
-// (see journal.Record.BID).
+// applied. It is the only path from a vocabulary record to the System:
+// the Backend mutators build a record and apply it, and WAL replay
+// applies the journaled record. The record's BID is not journaled: it
+// only deduplicates the copies an old N-shard WAL generation holds,
+// which replay resolves before calling Apply.
 //
 // Items apply in order and the journal record holds exactly the applied
 // prefix: on a mid-list error the items already applied stay applied
@@ -479,9 +493,8 @@ var vocabOps = map[journal.Op]string{
 // partial effects, if any, are not re-created by replay, which is
 // acceptable because the client was told the statement failed.
 //
-// Apply does not check degraded mode: callers check before they commit
-// to a write (Server's Backend mutators per call, the shard coordinator
-// once across all shards before it assigns a broadcast id).
+// Apply does not check degraded mode: the Backend mutators check before
+// they commit to a write, and replay runs before any traffic.
 func (s *Server) Apply(rec journal.Record) (Applied, error) {
 	what, ok := vocabOps[rec.Op]
 	if !ok {
@@ -489,7 +502,7 @@ func (s *Server) Apply(rec journal.Record) (Applied, error) {
 	}
 	var out Applied
 	var wait func() error
-	done := journal.Record{Op: rec.Op, BID: rec.BID}
+	done := journal.Record{Op: rec.Op}
 	epoch, err := s.facade.withWriteEpoch(func(sys *contextrank.System) error {
 		applied, opErr := s.applyLocked(sys, rec, &done, &out)
 		if applied {
@@ -691,48 +704,26 @@ type Stats struct {
 	// that user ranks at that state.
 	Plans   CacheStats   `json:"plan_cache"`
 	Latency LatencyStats `json:"latency"`
-	// Health is the failure-domain state: healthy, degraded (journal
-	// down, mutations rejected) or quarantined (coordinator rerouting
-	// around the shard), plus the counters behind it.
+	// Health is the failure-domain state: healthy or degraded (journal
+	// down, mutations rejected), plus the counters behind it.
 	Health *HealthInfo `json:"health,omitempty"`
 	// Journal is the write-ahead log (appends, group-commit batches,
 	// fsyncs, compactions, live/vocab/total records, bytes since the last
 	// checkpoint); nil when the server runs without durability.
 	Journal *journal.Stats `json:"journal,omitempty"`
 	// Checkpoints describes background checkpoint activity; only a
-	// backend with a checkpointer running fills it (aggregate only, not
-	// per shard).
+	// backend with durability attached (shard.Coordinator) fills it.
 	Checkpoints *CheckpointStats `json:"checkpoints,omitempty"`
 	// Recovery describes what boot-time WAL replay restored; filled once
-	// at boot by shard.Coordinator.Recover (aggregate only).
+	// at boot by shard.Coordinator.Recover.
 	Recovery *RecoveryStats `json:"recovery,omitempty"`
-	// Broadcast describes cross-shard vocabulary writes; only a sharded
-	// backend fills it.
-	Broadcast *BroadcastStats `json:"broadcast,omitempty"`
 	// Subs is the standing-subscription subsystem: registered
 	// subscriptions, pushed events, evaluator work and skip counts.
 	Subs *SubscriptionStats `json:"subscriptions,omitempty"`
 	// HotPath is the rank hot path's scratch-pool and document-
 	// distribution-cache effectiveness. The counters are process-global
-	// (see contextrank.HotPathStats), so a sharded backend reports them
-	// once on the aggregate and leaves per-shard entries nil.
+	// (see contextrank.HotPathStats).
 	HotPath *contextrank.HotPathStats `json:"hot_path,omitempty"`
-	// Shards is the per-shard breakdown (index = shard id); only a
-	// sharded backend fills it, and the outer struct is then the
-	// aggregate: requests/sessions/events sum, epoch/rules take the
-	// maximum (vocabulary is replicated), and latency percentiles take
-	// the worst shard.
-	Shards []Stats `json:"shards,omitempty"`
-}
-
-// BroadcastStats describes the cross-shard write path of a sharded
-// backend: every vocabulary mutation (declare, assert, rules, exec) is
-// applied to all shards, and its latency is the wall time of the slowest
-// shard's apply.
-type BroadcastStats struct {
-	Writes     int64   `json:"writes"`
-	MeanMicros float64 `json:"mean_us"`
-	MaxMicros  float64 `json:"max_us"`
 }
 
 // CheckpointStats describes background checkpoint activity: full-state
@@ -747,15 +738,14 @@ type CheckpointStats struct {
 	// LastDurationMicros is the wall time of the last successful
 	// checkpoint (suspend + dump + rename + WAL truncation).
 	LastDurationMicros float64 `json:"last_duration_us,omitempty"`
-	// LastSeq is the highest per-shard journal sequence the last
-	// checkpoint covered (max across shards).
+	// LastSeq is the journal sequence the last checkpoint covered.
 	LastSeq uint64 `json:"last_seq,omitempty"`
 }
 
 // RecoveryStats describes what a boot-time WAL replay restored. The
 // per-op counts are applied records; Skipped* are records correctly not
-// applied (already covered by the restored checkpoint, or a broadcast
-// duplicate of a record another shard's WAL already replayed).
+// applied (already covered by the restored checkpoint, or a duplicate
+// copy of a vocabulary write in an old N-shard generation).
 type RecoveryStats struct {
 	// Files is how many journal files were replayed.
 	Files int `json:"files"`
@@ -766,7 +756,7 @@ type RecoveryStats struct {
 	Users int `json:"users"`
 	Drops int `json:"drops"`
 	// Declares/Asserts/RuleAdds/RuleRemoves/Execs count vocabulary
-	// records applied through the broadcast path.
+	// records applied through Server.Apply.
 	Declares    int `json:"declares"`
 	Asserts     int `json:"asserts"`
 	RuleAdds    int `json:"rule_adds"`
@@ -774,10 +764,11 @@ type RecoveryStats struct {
 	Execs       int `json:"execs"`
 	// SkippedCheckpoint counts vocabulary records whose effect the
 	// restored snapshot already contained (Seq <= the manifest's
-	// checkpoint_seq for that shard, same journal generation).
+	// checkpoint sequence for that file, same journal generation).
 	SkippedCheckpoint int `json:"skipped_checkpoint"`
-	// SkippedDuplicate counts broadcast records deduplicated by BID —
-	// every shard's WAL holds a copy; exactly one is applied.
+	// SkippedDuplicate counts vocabulary records deduplicated by
+	// broadcast id: an old N-shard generation holds one copy per WAL
+	// file, and exactly one is applied.
 	SkippedDuplicate int `json:"skipped_duplicate"`
 	// Subscribes/Unsubscribes count standing-subscription records
 	// replayed: journaled subscriptions re-register at boot, so a client's

@@ -10,9 +10,9 @@ type CheckpointerOptions struct {
 	// Interval triggers a checkpoint when this much time has passed since
 	// the last one (or since start). Zero disables the time trigger.
 	Interval time.Duration
-	// Bytes triggers a checkpoint when the WALs hold at least this many
-	// bytes of vocabulary records not yet covered by a checkpoint, summed
-	// across shards. Zero disables the size trigger.
+	// Bytes triggers a checkpoint when the WAL holds at least this many
+	// bytes of vocabulary records not yet covered by a checkpoint. Zero
+	// disables the size trigger.
 	Bytes int64
 	// Poll is how often the triggers are evaluated. Defaults to 1s (or
 	// Interval, if smaller).
@@ -55,7 +55,7 @@ func (c *Coordinator) StartCheckpointer(dir string, opts CheckpointerOptions) (s
 			case <-ticker.C:
 			}
 			due := opts.Interval > 0 && time.Since(last) >= opts.Interval
-			if !due && opts.Bytes > 0 && c.vocabWALBytes() >= opts.Bytes {
+			if !due && opts.Bytes > 0 && c.journal != nil && c.journal.Stats().VocabBytes >= opts.Bytes {
 				due = true
 			}
 			if !due {
@@ -71,24 +71,11 @@ func (c *Coordinator) StartCheckpointer(dir string, opts CheckpointerOptions) (s
 	}
 }
 
-// vocabWALBytes sums the framed bytes of checkpointable vocabulary
-// records currently retained across all shard WALs.
-func (c *Coordinator) vocabWALBytes() int64 {
-	var total int64
-	for _, j := range c.journals {
-		if j != nil {
-			total += j.Stats().VocabBytes
-		}
-	}
-	return total
-}
-
 // checkpointTimed runs one checkpoint and records its outcome in the
 // coordinator's checkpoint counters (surfaced via Stats).
 func (c *Coordinator) checkpointTimed(dir string, onError func(error)) {
 	start := time.Now()
-	err := c.Checkpoint(dir)
-	if err != nil {
+	if err := c.Checkpoint(dir); err != nil {
 		c.ckptFailures.Add(1)
 		if onError != nil {
 			onError(err)
@@ -98,13 +85,7 @@ func (c *Coordinator) checkpointTimed(dir string, onError func(error)) {
 	c.ckptCount.Add(1)
 	c.ckptLastUnix.Store(time.Now().Unix())
 	c.ckptLastDurUs.Store(time.Since(start).Microseconds())
-	var maxSeq uint64
-	for _, j := range c.journals {
-		if j != nil {
-			if s := j.Stats().CheckpointSeq; s > maxSeq {
-				maxSeq = s
-			}
-		}
+	if c.journal != nil {
+		c.ckptLastSeq.Store(c.journal.Stats().CheckpointSeq)
 	}
-	c.ckptLastSeq.Store(maxSeq)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/serve"
 	"repro/internal/serve/journal"
 )
@@ -59,8 +60,8 @@ func tableRows(t *testing.T, c *Coordinator) int {
 func TestCheckpointSuffixRecoveryMatchesPureReplay(t *testing.T) {
 	dirA := t.TempDir() // checkpointed mid-stream
 	dirB := t.TempDir() // pure WAL, no checkpoint
-	a := newTestCoordinator(t, 4)
-	b := newTestCoordinator(t, 4)
+	a := newTestCoordinator(t)
+	b := newTestCoordinator(t)
 	if _, err := a.Recover(dirA, journal.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +93,11 @@ func TestCheckpointSuffixRecoveryMatchesPureReplay(t *testing.T) {
 
 	// Crash both (no CloseJournals). Recover A from its snapshot + suffix,
 	// B by pure replay onto the deterministic preload base.
-	build, _, err := RestoreBuilder(dirA)
+	build, err := RestoreBuilder(dirA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, err := New(4, build, serve.Options{})
+	ra, err := New(1, build, serve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestCheckpointSuffixRecoveryMatchesPureReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ra.CloseJournals()
-	rb := newTestCoordinator(t, 4)
+	rb := newTestCoordinator(t)
 	rsB, err := rb.Recover(dirB, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +148,7 @@ func TestCheckpointSuffixRecoveryMatchesPureReplay(t *testing.T) {
 // would double the row.
 func TestCheckpointCoveredRecordReplayIsNoOp(t *testing.T) {
 	dir := t.TempDir()
-	a := newTestCoordinator(t, 2)
+	a := newTestCoordinator(t)
 	if _, err := a.Recover(dir, journal.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -161,11 +162,11 @@ func TestCheckpointCoveredRecordReplayIsNoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Stash the pre-checkpoint WALs, checkpoint (snapshot + truncate),
-	// then write the stale WALs back: exactly the on-disk state a crash
+	// Stash the pre-checkpoint WAL, checkpoint (snapshot + truncate),
+	// then write the stale WAL back: exactly the on-disk state a crash
 	// after the manifest rename but before truncation leaves behind.
 	wals, err := filepath.Glob(filepath.Join(dir, "sessions-*.wal"))
-	if err != nil || len(wals) != 2 {
+	if err != nil || len(wals) != 1 {
 		t.Fatalf("glob: %v (%d files)", err, len(wals))
 	}
 	saved := make(map[string][]byte)
@@ -185,11 +186,11 @@ func TestCheckpointCoveredRecordReplayIsNoOp(t *testing.T) {
 		}
 	}
 
-	build, _, err := RestoreBuilder(dir)
+	build, err := RestoreBuilder(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(2, build, serve.Options{})
+	b, err := New(1, build, serve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestCheckpointBoundsWALChurnSoak(t *testing.T) {
 		t.Skip("checkpoint churn soak skipped in -short mode")
 	}
 	dir := t.TempDir()
-	c := newTestCoordinator(t, 2)
+	c := newTestCoordinator(t)
 	if _, err := c.Recover(dir, journal.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -242,34 +243,28 @@ func TestCheckpointBoundsWALChurnSoak(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		st := c.Stats()
-		for _, sh := range st.Shards {
-			if sh.Journal != nil && sh.Journal.VocabBytes > peak {
-				peak = sh.Journal.VocabBytes
-			}
+		if j := c.Stats().Journal; j.VocabBytes > peak {
+			peak = j.VocabBytes
 		}
 		if err := c.Checkpoint(dir); err != nil {
 			t.Fatal(err)
 		}
-		for i, sh := range c.Stats().Shards {
-			if sh.Journal == nil {
-				t.Fatalf("shard %d lost its journal", i)
-			}
-			if sh.Journal.VocabBytes != 0 || sh.Journal.VocabRecords != 0 {
-				t.Fatalf("round %d: shard %d retains %d vocabulary bytes (%d records) after checkpoint",
-					round, i, sh.Journal.VocabBytes, sh.Journal.VocabRecords)
-			}
+		j := c.Stats().Journal
+		if j == nil {
+			t.Fatal("the server lost its journal")
+		}
+		if j.VocabBytes != 0 || j.VocabRecords != 0 {
+			t.Fatalf("round %d: WAL retains %d vocabulary bytes (%d records) after checkpoint",
+				round, j.VocabBytes, j.VocabRecords)
 		}
 	}
 	if peak == 0 {
 		t.Fatal("soak never accumulated vocabulary bytes — trigger input is dead")
 	}
-	// 10 rounds x 20 INSERTs per shard replica would be ~200 records of
-	// history; the checkpointed WAL must stay near the 5 live sessions.
-	for i, sh := range c.Stats().Shards {
-		if sh.Journal.TotalRecords > 40 {
-			t.Fatalf("shard %d WAL holds %d records after final checkpoint — unbounded growth", i, sh.Journal.TotalRecords)
-		}
+	// 10 rounds x 20 INSERTs would be ~200 records of history; the
+	// checkpointed WAL must stay near the 5 live sessions.
+	if n := c.Stats().Journal.TotalRecords; n > 40 {
+		t.Fatalf("WAL holds %d records after final checkpoint — unbounded growth", n)
 	}
 	if got := tableRows(t, c); got != 200 {
 		t.Fatalf("ckpt_t holds %d rows, want 200", got)
@@ -280,7 +275,7 @@ func TestCheckpointBoundsWALChurnSoak(t *testing.T) {
 // count into Stats().Checkpoints, and truncate the WAL backlog.
 func TestBackgroundCheckpointer(t *testing.T) {
 	dir := t.TempDir()
-	c := newTestCoordinator(t, 2)
+	c := newTestCoordinator(t)
 	if _, err := c.Recover(dir, journal.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -312,9 +307,45 @@ func TestBackgroundCheckpointer(t *testing.T) {
 	if st.Checkpoints.LastUnix == 0 || st.Checkpoints.Failures != 0 {
 		t.Fatalf("checkpoint stats %+v", st.Checkpoints)
 	}
-	for i, sh := range st.Shards {
-		if sh.Journal != nil && sh.Journal.VocabBytes != 0 {
-			t.Fatalf("shard %d retains %d vocabulary bytes after background checkpoint", i, sh.Journal.VocabBytes)
-		}
+	if n := st.Journal.VocabBytes; n != 0 {
+		t.Fatalf("WAL retains %d vocabulary bytes after background checkpoint", n)
+	}
+}
+
+// TestCheckpointManifestRenameFailure: a failed manifest switch must
+// leave the previous checkpoint generation intact and recoverable.
+func TestCheckpointManifestRenameFailure(t *testing.T) {
+	dir := t.TempDir()
+	in := faultinject.New(1)
+	c := newTestCoordinator(t)
+	if _, err := c.Recover(dir, journal.Options{FS: faultinject.FS(in, nil)}); err != nil {
+		t.Fatal(err)
+	}
+	defer c.CloseJournals()
+	if _, err := c.SetSession("alice", sessionFor(1)); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := in.Arm(faultinject.Fault{Point: faultinject.FSRename, Err: "EIO", Match: "manifest"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Checkpoint(dir); err == nil {
+		t.Fatal("Checkpoint succeeded despite manifest rename failure")
+	}
+	in.Clear()
+	if err := c.Checkpoint(dir); err != nil {
+		t.Fatalf("Checkpoint after fault cleared: %v", err)
+	}
+
+	// The durable state still restores: same sessions, same scores.
+	want := rankScores(t, c, "alice")
+	c.CloseJournals()
+	b := newTestCoordinator(t)
+	if _, err := b.Recover(dir, journal.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer b.CloseJournals()
+	if got := rankScores(t, b, "alice"); got != want {
+		t.Fatalf("restore diverged:\n got %s\nwant %s", got, want)
 	}
 }

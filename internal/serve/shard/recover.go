@@ -25,13 +25,16 @@ const journalManifestName = "journal.manifest.json"
 // frame format (the journal file carries its own magic).
 const journalManifestVersion = 1
 
+// journalManifest names the current generation. Files is the number of
+// WAL files in it: 1 for everything this package writes, N for a
+// generation an N-shard daemon wrote, which recovery still replays.
 type journalManifest struct {
 	Version int    `json:"version"`
-	Shards  int    `json:"shards"`
+	Files   int    `json:"shards"`
 	Gen     string `json:"gen"`
 }
 
-// journalFile names shard i's WAL within journal generation gen.
+// journalFile names WAL file i within journal generation gen.
 func journalFile(dir, gen string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("sessions-%s-%03d.wal", gen, i))
 }
@@ -44,32 +47,32 @@ type RecoveryStats = serve.RecoveryStats
 // Recover makes the coordinator's state crash-durable against dir, in
 // three steps:
 //
-//  1. A fresh journal generation is created — one WAL per shard — and
-//     attached to every shard's server, so every acknowledged mutation
-//     (session applies AND vocabulary/data writes) is journaled from
-//     here on.
+//  1. A fresh journal generation is created and attached to the server,
+//     so every acknowledged mutation (session applies AND
+//     vocabulary/data writes) is journaled from here on.
 //  2. The previous generation (per the journal manifest, if any) is
-//     replayed in per-file sequence order. Session records go through the
-//     coordinator's *routed* SetSession/DropSession: each lands on
-//     whatever shard owns its user at the current shard count, so
-//     recovery at a different -shards value reassigns sessions exactly
-//     like live traffic would. Vocabulary records go through the
-//     *broadcast* apply path under their original broadcast id; because
-//     every shard's WAL carries a copy of every broadcast, the id dedups
-//     them to exactly one apply, and records the restored snapshot
+//     replayed in file and sequence order through the ordinary serving
+//     path: session and subscription records through SetSession,
+//     DropSession, Subscribe and Unsubscribe, vocabulary records through
+//     serve.Server.Apply. Vocabulary records the restored snapshot
 //     already covers (per the snapshot manifest's checkpoint fields,
-//     matched by journal generation) are skipped outright. Because the
-//     routed/broadcast applies are themselves journaled, the replay
-//     simultaneously rewrites the surviving state into the new
-//     generation (a free compaction).
+//     matched by journal generation) are skipped. Because the applies
+//     are themselves journaled, the replay rewrites the surviving state
+//     into the new generation (a free compaction).
 //  3. The manifest is switched to the new generation by atomic rename and
 //     superseded files are removed best-effort.
 //
 // A crash before step 3's rename leaves the manifest on the old
 // generation: the next boot replays the same complete state again
-// (session replay is idempotent, and checkpoint coverage plus broadcast
-// ids make vocabulary replay exactly-once against the same snapshot) and
-// the partial new-generation files are cleaned up as stale.
+// (session replay is idempotent, and checkpoint coverage makes
+// vocabulary replay exactly-once against the same snapshot) and the
+// partial new-generation files are cleaned up as stale.
+//
+// A generation an N-shard daemon wrote holds N WAL files, each carrying
+// its own users' sessions and subscriptions plus a copy of every
+// vocabulary write under a shared broadcast id (BID). All files are
+// replayed, and each BID is applied once; the records rewritten into the
+// new single-file generation carry no BID.
 //
 // Call once, after construction (and snapshot restore) but before serving
 // traffic. Pair with CloseJournals on shutdown.
@@ -90,8 +93,8 @@ func (c *Coordinator) Recover(dir string, opts journal.Options) (RecoveryStats, 
 		if m.Version != journalManifestVersion {
 			return stats, fmt.Errorf("shard: journal manifest version %d unsupported (want %d)", m.Version, journalManifestVersion)
 		}
-		if m.Shards <= 0 {
-			return stats, fmt.Errorf("shard: journal manifest reports %d shards", m.Shards)
+		if m.Files <= 0 {
+			return stats, fmt.Errorf("shard: journal manifest reports %d files", m.Files)
 		}
 		prev = &m
 	case os.IsNotExist(err):
@@ -100,26 +103,17 @@ func (c *Coordinator) Recover(dir string, opts journal.Options) (RecoveryStats, 
 		return stats, fmt.Errorf("shard: reading journal manifest: %w", err)
 	}
 
-	var genBytes [8]byte
-	if _, err := rand.Read(genBytes[:]); err != nil {
+	gen, err := newID()
+	if err != nil {
 		return stats, fmt.Errorf("shard: journal gen id: %w", err)
 	}
-	gen := hex.EncodeToString(genBytes[:])
-	js := make([]*journal.Journal, len(c.shards))
-	for i := range c.shards {
-		j, _, err := journal.Open(journalFile(dir, gen, i), opts)
-		if err != nil {
-			for _, open := range js[:i] {
-				open.Close()
-			}
-			return stats, fmt.Errorf("shard: opening journal %d: %w", i, err)
-		}
-		js[i] = j
-		c.shards[i].AttachJournal(j)
+	j, _, err := journal.Open(journalFile(dir, gen, 0), opts)
+	if err != nil {
+		return stats, fmt.Errorf("shard: opening journal: %w", err)
 	}
-	c.journals = js
+	c.AttachJournal(j)
+	c.journal = j
 	c.journalGen = gen
-	c.journalDir = dir
 	c.fs = opts.FS
 	if c.fs == nil {
 		c.fs = journal.OSFS{}
@@ -127,256 +121,239 @@ func (c *Coordinator) Recover(dir string, opts journal.Options) (RecoveryStats, 
 
 	if prev != nil {
 		// Replay re-journals every surviving record through the attached
-		// new-generation WALs. Each routed apply waits for its record's
-		// commit, strictly one at a time, so with per-batch fsync on a
-		// large session population boot would pay one fsync per record.
+		// new-generation WAL. Each apply waits for its record's commit,
+		// strictly one at a time, so with per-batch fsync on a large
+		// session population boot would pay one fsync per record.
 		// Suspend syncing for the replay window (no traffic is being
-		// acknowledged — Recover runs before serving) and fsync
-		// once per journal before the manifest switch below makes the new
-		// generation authoritative.
+		// acknowledged — Recover runs before serving) and fsync once
+		// before the manifest switch below makes the new generation
+		// authoritative.
 		if !opts.NoSync {
-			for _, j := range js {
-				j.SetNoSync(true)
-			}
+			j.SetNoSync(true)
 		}
-		// Checkpoint pairing: the snapshot manifest (same dir) names the
-		// journal generation its checkpoint fields cover. Only when that
-		// matches the generation being replayed may coverage be used to
-		// skip records — an older snapshot paired with a since-replaced
-		// generation says nothing about these files.
-		var ckptSeqs []uint64
-		var ckptBID uint64
-		paired := false
-		if sm, err := readSnapshotManifest(dir); err == nil && sm.JournalGen != "" && sm.JournalGen == prev.Gen {
-			paired = true
-			ckptSeqs = sm.CheckpointSeqs
-			ckptBID = sm.CheckpointBID
-		}
-		// Prescan for the highest broadcast id in the old generation, and
-		// seed the coordinator's counter past it *before* replaying:
-		// untagged vocabulary records (written by an unsharded server) are
-		// re-broadcast under fresh ids, and a fresh id colliding with a
-		// historical one would make a future recovery wrongly dedup two
-		// different writes.
-		var maxBID uint64
-		for i := 0; i < prev.Shards; i++ {
-			_, _ = journal.Replay(journalFile(dir, prev.Gen, i), func(rec journal.Record) error {
-				if rec.BID > maxBID {
-					maxBID = rec.BID
-				}
-				return nil
-			})
-		}
-		c.bid.Store(maxBID)
-		// preserve keeps a record whose re-apply failed: append it raw to
-		// its routing shard's new-generation WAL so the next boot retries
-		// it. Without this the manifest switch plus stale-file cleanup
-		// would destroy the only copy over a possibly transient apply
-		// error (classic case: the boot snapshot predates the vocabulary
-		// the session references). The Preserved flag exempts the record
-		// from checkpoint truncation — its effect is not in any snapshot.
-		var preserveErr error
-		preserve := func(rec journal.Record) {
-			stats.Failed++
-			rec.Preserved = true
-			if err := js[ShardIndex(rec.User, len(c.shards))].Append(rec); err != nil && preserveErr == nil {
-				preserveErr = err
-			}
-		}
-		seenBID := make(map[uint64]bool)
-		for i := 0; i < prev.Shards; i++ {
-			var covered uint64
-			if paired && i < len(ckptSeqs) {
-				covered = ckptSeqs[i]
-			}
-			path := journalFile(dir, prev.Gen, i)
-			rs, err := journal.Replay(path, func(rec journal.Record) error {
-				switch rec.Op {
-				case journal.OpSet:
-					fp, err := c.SetSession(rec.User, serve.FromJournalMeasurements(rec.Measurements))
-					if err != nil {
-						preserve(rec)
-						return nil // keep replaying; one bad record must not lose the rest
-					}
-					if rec.Fingerprint != "" && fp != rec.Fingerprint {
-						stats.FingerprintMismatches++
-					}
-				case journal.OpDrop:
-					if err := c.DropSession(rec.User); err != nil {
-						preserve(rec)
-						return nil
-					}
-					stats.Drops++
-				case journal.OpDeclare, journal.OpAssert, journal.OpAddRules, journal.OpRemoveRule, journal.OpExec:
-					// Skip what the restored snapshot already contains —
-					// by this shard's sequence cut, or by the broadcast
-					// frontier (both generation-gated above). Preserved
-					// records never applied, so no snapshot covers them.
-					if !rec.Preserved && paired && (rec.Seq <= covered || (rec.BID > 0 && rec.BID <= ckptBID)) {
-						stats.SkippedCheckpoint++
-						return nil
-					}
-					// Every shard's WAL carries every broadcast; apply
-					// the first copy, dedup the rest by broadcast id.
-					if rec.BID > 0 && seenBID[rec.BID] {
-						stats.SkippedDuplicate++
-						return nil
-					}
-					if _, err := c.applyVocab(rec); err != nil {
-						preserve(rec)
-						return nil
-					}
-					if rec.BID > 0 {
-						seenBID[rec.BID] = true
-					}
-					switch rec.Op {
-					case journal.OpDeclare:
-						stats.Declares++
-					case journal.OpAssert:
-						stats.Asserts++
-					case journal.OpAddRules:
-						stats.RuleAdds++
-					case journal.OpRemoveRule:
-						stats.RuleRemoves++
-					case journal.OpExec:
-						stats.Execs++
-					}
-				case journal.OpSubscribe:
-					// Standing subscriptions re-register through the routed
-					// path: the re-subscribe journals into the new generation
-					// and the push stream resumes without the client
-					// re-subscribing (it reconnects to the same id).
-					if rec.Subscription == nil {
-						preserve(rec)
-						return nil
-					}
-					spec := serve.FromJournalSubscription(rec.User, *rec.Subscription)
-					if _, err := c.Subscribe(rec.SubID, spec); err != nil {
-						preserve(rec)
-						return nil
-					}
-					stats.Subscribes++
-				case journal.OpUnsubscribe:
-					// Replay order within a file matches append order, so this
-					// retires any earlier re-subscribe of the id.
-					if _, err := c.Unsubscribe(rec.SubID); err != nil {
-						preserve(rec)
-						return nil
-					}
-					stats.Unsubscribes++
-				default:
-					// A record from a newer format revision: preserve it
-					// verbatim rather than abort (or silently drop) — a
-					// downgrade-then-upgrade cycle keeps the data.
-					preserve(rec)
-				}
-				return nil
-			})
-			if err != nil {
-				stats.BadFiles++
-				continue
-			}
-			if rs.Records > 0 || rs.Torn {
-				stats.Files++
-			}
-			stats.Records += rs.Records
-			if rs.Torn {
-				stats.TornFiles++
-			}
-		}
-		stats.Users = c.Stats().Sessions
-		if preserveErr != nil {
-			// A failed-replay record could not be written into the new
-			// generation: abort *before* the manifest switch, so the old
-			// generation — the only copy — stays authoritative and the
-			// next boot retries. Proceeding would let the stale-file
-			// cleanup delete the record while stats call it preserved.
-			return stats, fmt.Errorf("shard: preserving failed records in new journal generation: %w", preserveErr)
+		if err := c.replay(dir, prev, &stats); err != nil {
+			return stats, err
 		}
 		if !opts.NoSync {
-			for _, j := range js {
-				j.SetNoSync(false)
-				if err := j.Sync(); err != nil {
-					return stats, fmt.Errorf("shard: syncing replayed journal: %w", err)
-				}
+			j.SetNoSync(false)
+			if err := j.Sync(); err != nil {
+				return stats, fmt.Errorf("shard: syncing replayed journal: %w", err)
 			}
 		}
 	}
 
 	// Publish the new generation durably: WAL file data is already
 	// fsynced (per batch, or by the barrier above), so what remains is
-	// metadata — the WAL directory entries, the manifest's *content*
+	// metadata — the WAL directory entry, the manifest's *content*
 	// (WriteFileSync; a bare os.WriteFile could leave a zero-length
 	// manifest after a power cut, bricking every subsequent boot), and
 	// the rename itself. Only after all of that is the old generation
 	// eligible for deletion.
-	journal.SyncDirFS(c.fs, dir)
-	mf, err := json.Marshal(journalManifest{Version: journalManifestVersion, Shards: len(c.shards), Gen: gen})
+	mf, err := json.Marshal(journalManifest{Version: journalManifestVersion, Files: 1, Gen: gen})
 	if err != nil {
 		return stats, err
 	}
-	tmp := filepath.Join(dir, journalManifestName+".tmp")
-	if err := journal.WriteFileSyncFS(c.fs, tmp, mf, 0o644); err != nil {
+	if err := switchManifest(c.fs, dir, journalManifestName, mf); err != nil {
 		return stats, fmt.Errorf("shard: journal manifest: %w", err)
 	}
-	if err := c.fs.Rename(tmp, filepath.Join(dir, journalManifestName)); err != nil {
-		return stats, fmt.Errorf("shard: journal manifest: %w", err)
-	}
-	journal.SyncDirFS(c.fs, dir)
-	removeStaleJournals(dir, gen)
+	removeStale(dir, "sessions-", ".wal", gen)
 	published := stats
 	c.recovery.Store(&published)
 	return stats, nil
 }
 
-// removeStaleJournals best-effort deletes WAL files from generations other
-// than keep — superseded generations, or leftovers of a boot that crashed
-// before its manifest switch.
-func removeStaleJournals(dir, keep string) {
+// replay applies the previous generation's records onto the server,
+// filling stats. A record whose re-apply fails is preserved: appended raw
+// to the new generation so the next boot retries it. Without this the
+// manifest switch plus stale-file cleanup would destroy the only copy
+// over a possibly transient apply error (classic case: the boot snapshot
+// predates the vocabulary the session references). The Preserved flag
+// exempts the record from checkpoint truncation — its effect is not in
+// any snapshot. A record that cannot be preserved aborts the recovery
+// before the manifest switch, so the old generation stays authoritative.
+func (c *Coordinator) replay(dir string, prev *journalManifest, stats *RecoveryStats) error {
+	// Checkpoint pairing: the snapshot manifest (same dir) names the
+	// journal generation its checkpoint fields cover. Only when that
+	// matches the generation being replayed may coverage be used to skip
+	// records — an older snapshot paired with a since-replaced generation
+	// says nothing about these files.
+	var ckptSeqs []uint64
+	var ckptBID uint64
+	paired := false
+	if sm, err := readSnapshotManifest(dir); err == nil && sm.JournalGen != "" && sm.JournalGen == prev.Gen {
+		paired = true
+		ckptSeqs = sm.CheckpointSeqs
+		ckptBID = sm.CheckpointBID
+	}
+	var preserveErr error
+	preserve := func(rec journal.Record) {
+		stats.Failed++
+		rec.Preserved = true
+		if err := c.journal.Append(rec); err != nil && preserveErr == nil {
+			preserveErr = err
+		}
+	}
+	// seenBID deduplicates the copies of one broadcast write that every
+	// file of an N-shard generation carries: the first copy is applied
+	// (or preserved), the rest are skipped.
+	seenBID := make(map[uint64]bool)
+	for i := 0; i < prev.Files; i++ {
+		var covered uint64
+		if paired && i < len(ckptSeqs) {
+			covered = ckptSeqs[i]
+		}
+		rs, err := journal.Replay(journalFile(dir, prev.Gen, i), func(rec journal.Record) error {
+			if rec.Op.IsVocab() {
+				// Skip what the restored snapshot already contains — by
+				// this file's sequence cut, or by an N-shard checkpoint's
+				// broadcast frontier (both generation-gated above).
+				// Preserved records never applied, so no snapshot covers
+				// them.
+				if !rec.Preserved && paired && (rec.Seq <= covered || (rec.BID > 0 && rec.BID <= ckptBID)) {
+					stats.SkippedCheckpoint++
+					return nil
+				}
+				if rec.BID > 0 {
+					if seenBID[rec.BID] {
+						stats.SkippedDuplicate++
+						return nil
+					}
+					seenBID[rec.BID] = true
+				}
+			}
+			if c.replayRecord(rec, stats) != nil {
+				// Keep replaying: one bad record must not lose the rest.
+				preserve(rec)
+			}
+			return nil
+		})
+		if err != nil {
+			stats.BadFiles++
+			continue
+		}
+		if rs.Records > 0 || rs.Torn {
+			stats.Files++
+		}
+		stats.Records += rs.Records
+		if rs.Torn {
+			stats.TornFiles++
+		}
+	}
+	stats.Users = c.Server.Stats().Sessions
+	if preserveErr != nil {
+		return fmt.Errorf("shard: preserving failed records in new journal generation: %w", preserveErr)
+	}
+	return nil
+}
+
+// replayRecord re-applies one journaled record through the serving path
+// and counts it. An error means the record must be preserved.
+func (c *Coordinator) replayRecord(rec journal.Record, stats *RecoveryStats) error {
+	switch rec.Op {
+	case journal.OpSet:
+		fp, err := c.SetSession(rec.User, serve.FromJournalMeasurements(rec.Measurements))
+		if err != nil {
+			return err
+		}
+		if rec.Fingerprint != "" && fp != rec.Fingerprint {
+			stats.FingerprintMismatches++
+		}
+	case journal.OpDrop:
+		if err := c.DropSession(rec.User); err != nil {
+			return err
+		}
+		stats.Drops++
+	case journal.OpDeclare, journal.OpAssert, journal.OpAddRules, journal.OpRemoveRule, journal.OpExec:
+		if _, err := c.Apply(rec); err != nil {
+			return err
+		}
+		switch rec.Op {
+		case journal.OpDeclare:
+			stats.Declares++
+		case journal.OpAssert:
+			stats.Asserts++
+		case journal.OpAddRules:
+			stats.RuleAdds++
+		case journal.OpRemoveRule:
+			stats.RuleRemoves++
+		default:
+			stats.Execs++
+		}
+	case journal.OpSubscribe:
+		// Standing subscriptions re-register: the re-subscribe journals
+		// into the new generation and the push stream resumes without the
+		// client re-subscribing (it reconnects to the same id).
+		if rec.Subscription == nil {
+			return fmt.Errorf("shard: subscribe record %q without a spec", rec.SubID)
+		}
+		spec := serve.FromJournalSubscription(rec.User, *rec.Subscription)
+		if _, err := c.Subscribe(rec.SubID, spec); err != nil {
+			return err
+		}
+		stats.Subscribes++
+	case journal.OpUnsubscribe:
+		// Replay order within a file matches append order, so this
+		// retires any earlier re-subscribe of the id.
+		if _, err := c.Unsubscribe(rec.SubID); err != nil {
+			return err
+		}
+		stats.Unsubscribes++
+	default:
+		// A record from a newer format revision: preserve it verbatim
+		// rather than abort (or silently drop) — a downgrade-then-upgrade
+		// cycle keeps the data.
+		return fmt.Errorf("shard: unknown journal op %d", rec.Op)
+	}
+	return nil
+}
+
+// newID returns a fresh random generation id.
+func newID() (string, error) {
+	var b [8]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(b[:]), nil
+}
+
+// switchManifest durably replaces dir/name with content: the directory
+// entries written so far, the manifest's content (WriteFileSync) and the
+// rename itself all reach the disk before it returns.
+func switchManifest(fsys journal.FS, dir, name string, content []byte) error {
+	journal.SyncDirFS(fsys, dir)
+	tmp := filepath.Join(dir, name+".tmp")
+	if err := journal.WriteFileSyncFS(fsys, tmp, content, 0o644); err != nil {
+		return err
+	}
+	if err := fsys.Rename(tmp, filepath.Join(dir, name)); err != nil {
+		return err
+	}
+	journal.SyncDirFS(fsys, dir)
+	return nil
+}
+
+// removeStale best-effort deletes the files named prefix…suffix that do
+// not belong to generation keep — superseded generations, or leftovers of
+// a boot or save that crashed before its manifest switch.
+func removeStale(dir, prefix, suffix, keep string) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasPrefix(name, "sessions-") || !strings.HasSuffix(name, ".wal") {
-			continue
-		}
-		if !strings.HasPrefix(name, "sessions-"+keep+"-") {
+		if strings.HasPrefix(name, prefix) && strings.HasSuffix(name, suffix) && !strings.HasPrefix(name, prefix+keep+"-") {
 			os.Remove(filepath.Join(dir, name))
 		}
 	}
 }
 
-// CloseJournals detaches nothing — shards keep their references — but
-// drains and closes every journal opened by Recover, returning
-// the first error. Call after HTTP shutdown: a Set racing Close gets an
-// explicit journal-closed error instead of a silent durability gap.
+// CloseJournals drains and closes the journal opened by Recover. Call
+// after HTTP shutdown: a Set racing Close gets an explicit journal-closed
+// error instead of a silent durability gap.
 func (c *Coordinator) CloseJournals() error {
-	var first error
-	for _, j := range c.journals {
-		if j == nil {
-			continue
-		}
-		if err := j.Close(); err != nil && first == nil {
-			first = err
-		}
+	if c.journal == nil {
+		return nil
 	}
-	return first
-}
-
-// journalOrZero unwraps an aggregate journal-stats pointer for merging.
-func journalOrZero(s *journal.Stats) journal.Stats {
-	if s == nil {
-		return journal.Stats{}
-	}
-	return *s
-}
-
-// subsOrZero unwraps an aggregate subscription-stats pointer for merging.
-func subsOrZero(s *serve.SubscriptionStats) serve.SubscriptionStats {
-	if s == nil {
-		return serve.SubscriptionStats{}
-	}
-	return *s
+	return c.journal.Close()
 }

@@ -40,7 +40,7 @@ func rankScores(t *testing.T, c *Coordinator, user string) string {
 // not be resurrected.
 func TestRecoverSessionsAfterCrash(t *testing.T) {
 	dir := t.TempDir()
-	a := newTestCoordinator(t, 4)
+	a := newTestCoordinator(t)
 	if _, err := a.Recover(dir, journal.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestRecoverSessionsAfterCrash(t *testing.T) {
 	// Crash: no CloseJournals, no snapshot. The same durable data is
 	// rebuilt from scratch (in carserved this is the snapshot restore or
 	// the deterministic preload).
-	b := newTestCoordinator(t, 4)
+	b := newTestCoordinator(t)
 	rs, err := b.Recover(dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestRecoverSessionsAfterCrash(t *testing.T) {
 
 	// The old generation was superseded: only the new manifest's files
 	// remain, and a third boot replays from the rewritten generation.
-	c := newTestCoordinator(t, 4)
+	c := newTestCoordinator(t)
 	if _, err := c.Recover(dir, journal.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -120,69 +120,11 @@ func TestRecoverSessionsAfterCrash(t *testing.T) {
 	}
 }
 
-// TestRecoverSessionsReshard replays a 4-shard journal set into 1-, 2-
-// and 7-shard coordinators: routing reassigns users, fingerprints and
-// scores must not change, and every session must live on its routing
-// shard.
-func TestRecoverSessionsReshard(t *testing.T) {
-	dir := t.TempDir()
-	a := newTestCoordinator(t, 4)
-	if _, err := a.Recover(dir, journal.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	const users = 10
-	fps := make(map[string]string)
-	scores := make(map[string]string)
-	for i := 0; i < users; i++ {
-		u := fmt.Sprintf("user%03d", i)
-		fp, err := a.SetSession(u, sessionFor(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fps[u] = fp
-		scores[u] = rankScores(t, a, u)
-	}
-
-	for _, n := range []int{1, 2, 7} {
-		// Each reshard recovers from the previous incarnation's
-		// generation — exactly the rolling-reshard sequence a production
-		// fleet would walk through.
-		b := newTestCoordinator(t, n)
-		rs, err := b.Recover(dir, journal.Options{})
-		if err != nil {
-			t.Fatalf("reshard to %d: %v", n, err)
-		}
-		if rs.Users != users {
-			t.Fatalf("reshard to %d recovered %d users, want %d (stats %+v)", n, rs.Users, users, rs)
-		}
-		for i := 0; i < users; i++ {
-			u := fmt.Sprintf("user%03d", i)
-			_, fp, ok := b.SessionInfo(u)
-			if !ok || fp != fps[u] {
-				t.Fatalf("reshard to %d: session for %s = (%q, %v), want fingerprint %q", n, u, fp, ok, fps[u])
-			}
-			if got := rankScores(t, b, u); got != scores[u] {
-				t.Fatalf("reshard to %d: scores for %s changed:\n pre: %s\npost: %s", n, u, scores[u], got)
-			}
-			// Shard-locality: the session manager of the routing shard —
-			// and only that one — holds the session.
-			home := b.ShardFor(u)
-			for s := 0; s < b.N(); s++ {
-				_, _, onShard := b.Shard(s).SessionInfo(u)
-				if onShard != (s == home) {
-					t.Fatalf("reshard to %d: session for %s on shard %d (home %d)", n, u, s, home)
-				}
-			}
-		}
-		b.CloseJournals()
-	}
-}
-
 // TestRecoverSessionsTornTail: a crash mid group commit leaves a torn
 // frame; recovery replays the valid prefix and reports the tear.
 func TestRecoverSessionsTornTail(t *testing.T) {
 	dir := t.TempDir()
-	a := newTestCoordinator(t, 1)
+	a := newTestCoordinator(t)
 	if _, err := a.Recover(dir, journal.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +133,7 @@ func TestRecoverSessionsTornTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Tear the single shard's WAL: chop trailing bytes off the last frame.
+	// Tear the WAL: chop trailing bytes off the last frame.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +156,7 @@ func TestRecoverSessionsTornTail(t *testing.T) {
 		t.Fatalf("tore %d files, want 1", torn)
 	}
 
-	b := newTestCoordinator(t, 1)
+	b := newTestCoordinator(t)
 	rs, err := b.Recover(dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +180,7 @@ func TestRecoverSessionsTornTail(t *testing.T) {
 // once the conflict is gone, a later boot recovers the sessions.
 func TestRecoverSessionsPreservesFailedRecords(t *testing.T) {
 	dir := t.TempDir()
-	a := newTestCoordinator(t, 2)
+	a := newTestCoordinator(t)
 	if _, err := a.Recover(dir, journal.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +197,7 @@ func TestRecoverSessionsPreservesFailedRecords(t *testing.T) {
 	// Crash, then boot over a system where Weekend holds a data
 	// assertion: the session layer refuses to clear foreign rows, so
 	// every replayed Set fails — and must be preserved, not dropped.
-	poisoned := newTestCoordinator(t, 2)
+	poisoned := newTestCoordinator(t)
 	if _, err := poisoned.Assert([]serve.ConceptAssertion{{Concept: "Weekend", ID: "somebody", Prob: 1}}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +212,7 @@ func TestRecoverSessionsPreservesFailedRecords(t *testing.T) {
 
 	// Third boot without the conflicting data: the preserved records
 	// replay successfully from the poisoned boot's generation.
-	c := newTestCoordinator(t, 2)
+	c := newTestCoordinator(t)
 	rs, err = c.Recover(dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -289,55 +231,38 @@ func TestRecoverSessionsPreservesFailedRecords(t *testing.T) {
 
 // TestRecoverSessionsBadFile: a previous-generation file with an
 // overwritten header is unsalvageable, but it must not brick the boot —
-// the other shards' journals still replay.
+// the generation's other files still replay. The two-file generation is
+// the layout an N-shard daemon wrote.
 func TestRecoverSessionsBadFile(t *testing.T) {
 	dir := t.TempDir()
-	a := newTestCoordinator(t, 2)
-	if _, err := a.Recover(dir, journal.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	users := []string{"user000", "user001", "user002", "user003"}
-	for i, u := range users {
-		if _, err := a.SetSession(u, sessionFor(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Overwrite one WAL's header with garbage.
-	entries, err := os.ReadDir(dir)
+	gen := writeLegacyJournal(t, dir, [][]journal.Record{
+		{setRecord("user000", 0), setRecord("user001", 1)},
+		{setRecord("user002", 2), setRecord("user003", 3)},
+	})
+	f, err := os.OpenFile(journalFile(dir, gen, 1), os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clobbered := false
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".wal") && !clobbered {
-			f, err := os.OpenFile(filepath.Join(dir, e.Name()), os.O_WRONLY, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.WriteAt([]byte("XXXXXXXX"), 0); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
-			clobbered = true
-		}
+	if _, err := f.WriteAt([]byte("XXXXXXXX"), 0); err != nil {
+		t.Fatal(err)
 	}
-	if !clobbered {
-		t.Fatal("no WAL file found to clobber")
-	}
+	f.Close()
 
-	b := newTestCoordinator(t, 2)
+	b := newTestCoordinator(t)
 	rs, err := b.Recover(dir, journal.Options{})
 	if err != nil {
 		t.Fatalf("one bad file aborted recovery: %v", err)
 	}
 	defer b.CloseJournals()
-	if rs.BadFiles != 1 {
-		t.Fatalf("BadFiles = %d, want 1 (stats %+v)", rs.BadFiles, rs)
+	if rs.BadFiles != 1 || rs.Files != 1 {
+		t.Fatalf("BadFiles = %d, Files = %d, want 1 and 1 (stats %+v)", rs.BadFiles, rs.Files, rs)
 	}
-	// The intact shard's sessions came back; the clobbered shard's are
+	// The intact file's sessions came back; the clobbered file's are
 	// gone (and that is the honest outcome — nothing was salvageable).
-	if rs.Users == 0 || rs.Users >= len(users) {
-		t.Fatalf("recovered %d users from one intact file of %d total sessions", rs.Users, len(users))
+	for u, want := range map[string]bool{"user000": true, "user001": true, "user002": false, "user003": false} {
+		if _, _, ok := b.SessionInfo(u); ok != want {
+			t.Fatalf("session %s restored = %v, want %v", u, ok, want)
+		}
 	}
 }
 
@@ -346,7 +271,7 @@ func TestRecoverSessionsBadFile(t *testing.T) {
 // gets no acknowledgement, so there is no silent durability gap.
 func TestCloseJournalsFailsLateSets(t *testing.T) {
 	dir := t.TempDir()
-	c := newTestCoordinator(t, 2)
+	c := newTestCoordinator(t)
 	if _, err := c.Recover(dir, journal.Options{}); err != nil {
 		t.Fatal(err)
 	}

@@ -6,20 +6,21 @@ import (
 	"testing"
 
 	contextrank "repro"
+	"repro/internal/faultinject"
 	"repro/internal/serve"
+	"repro/internal/serve/journal"
 )
 
-// freshSystems is the trivial build function: every shard starts empty.
+// freshSystems is the trivial build function: the engine starts empty.
 func freshSystems(int) (*contextrank.System, error) {
 	return contextrank.NewSystem(), nil
 }
 
-// newTestCoordinator builds an n-shard coordinator preloaded (via
-// broadcast) with the worked-example vocabulary, data and one rule, so
-// any user on any shard can rank TvProgram.
-func newTestCoordinator(t *testing.T, n int) *Coordinator {
+// newTestCoordinator builds a coordinator loaded with the worked-example
+// vocabulary, data and one rule, so any user can rank TvProgram.
+func newTestCoordinator(t *testing.T) *Coordinator {
 	t.Helper()
-	c, err := New(n, freshSystems, serve.Options{})
+	c, err := New(1, freshSystems, serve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,145 +43,20 @@ func newTestCoordinator(t *testing.T, n int) *Coordinator {
 	return c
 }
 
-func TestShardIndexStableAndBalanced(t *testing.T) {
-	const users, shards = 10000, 8
-	counts := make([]int, shards)
-	for i := 0; i < users; i++ {
-		u := fmt.Sprintf("person%05d", i)
-		s := ShardIndex(u, shards)
-		if s < 0 || s >= shards {
-			t.Fatalf("ShardIndex(%q, %d) = %d out of range", u, shards, s)
-		}
-		if again := ShardIndex(u, shards); again != s {
-			t.Fatalf("ShardIndex(%q, %d) unstable: %d then %d", u, shards, s, again)
-		}
-		counts[s]++
-	}
-	// Uniform hashing puts ~1250 users per shard; a 3σ-ish band catches a
-	// broken mix without flaking (σ ≈ √(n·p·(1−p)) ≈ 33).
-	for s, n := range counts {
-		if n < 1000 || n > 1500 {
-			t.Fatalf("shard %d holds %d of %d users; distribution %v", s, n, users, counts)
-		}
-	}
-}
-
-func TestShardIndexMatchesCoordinatorRouting(t *testing.T) {
-	c := newTestCoordinator(t, 4)
-	for i := 0; i < 64; i++ {
-		u := fmt.Sprintf("user%d", i)
-		want := ShardIndex(u, 4)
-		if got := c.ShardFor(u); got != want {
-			t.Fatalf("ShardFor(%q) = %d, want %d", u, got, want)
-		}
-		_, meta, err := c.Rank(u, "TvProgram", contextrank.RankOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if meta.Shard != want {
-			t.Fatalf("rank for %q served by shard %d, want %d", u, meta.Shard, want)
-		}
-	}
-}
-
-func TestJumpHashMinimalMovement(t *testing.T) {
-	// The defining consistent-hash property: growing n → n+1 shards moves
-	// only ~1/(n+1) of the keys (a modulo hash would move ~n/(n+1)).
-	const users = 10000
-	for _, n := range []int{1, 2, 4, 7} {
-		moved := 0
-		for i := 0; i < users; i++ {
-			u := fmt.Sprintf("person%05d", i)
-			if ShardIndex(u, n) != ShardIndex(u, n+1) {
-				moved++
-			}
-		}
-		expect := users / (n + 1)
-		if moved > expect*3/2 {
-			t.Fatalf("%d→%d shards moved %d of %d users (expected ≈%d)", n, n+1, moved, users, expect)
-		}
-	}
-}
-
-// TestBroadcastConsistency checks the replication invariant: vocabulary,
-// data and rules declared once through the coordinator are visible on
-// every shard, so every shard ranks identically for session-less users.
-func TestBroadcastConsistency(t *testing.T) {
-	c := newTestCoordinator(t, 4)
-	for i := 0; i < c.N(); i++ {
-		s := c.Shard(i)
-		rules := s.Rules()
-		if len(rules) != 1 || rules[0].Name != "R1" {
-			t.Fatalf("shard %d rules = %+v, want [R1]", i, rules)
-		}
-		res, err := s.Query("SELECT id FROM c_TvProgram ORDER BY id")
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		if len(res.Rows) != 2 {
-			t.Fatalf("shard %d holds %d TvProgram rows, want 2", i, len(res.Rows))
-		}
-		// Neutral ranking (no session context) must agree across shards.
-		var out []contextrank.Result
-		err = s.Facade().WithRead(func(sys *contextrank.System) error {
-			var rerr error
-			out, rerr = sys.RankWith("nobody", "TvProgram", contextrank.RankOptions{})
-			return rerr
-		})
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		if len(out) != 2 {
-			t.Fatalf("shard %d ranked %d candidates, want 2", i, len(out))
-		}
-	}
-	// RemoveRule must broadcast too.
-	if _, err := c.RemoveRule("R1"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < c.N(); i++ {
-		if got := len(c.Shard(i).Rules()); got != 0 {
-			t.Fatalf("shard %d still holds %d rules after broadcast removal", i, got)
-		}
-	}
-}
-
-// TestSessionsAreShardLocal checks that a session apply lands only on the
-// user's shard and that the user's ranking reflects it.
-func TestSessionsAreShardLocal(t *testing.T) {
-	c := newTestCoordinator(t, 4)
-	user := "peter"
-	home := c.ShardFor(user)
-	if _, err := c.SetSession(user, []serve.Measurement{{Concept: "Weekend", Prob: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < c.N(); i++ {
-		_, _, ok := c.Shard(i).SessionInfo(user)
-		if want := i == home; ok != want {
-			t.Fatalf("shard %d has session=%v, want %v (home shard %d)", i, ok, want, home)
-		}
-	}
-	res, meta, err := c.Rank(user, "TvProgram", contextrank.RankOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Shard != home {
-		t.Fatalf("rank served by shard %d, want home shard %d", meta.Shard, home)
-	}
-	if res[0].ID != "Oprah" {
-		t.Fatalf("weekend winner = %s, want Oprah (session context not applied?)", res[0].ID)
-	}
-	if err := c.DropSession(user); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := c.SessionInfo(user); ok {
-		t.Fatal("session survived DropSession")
-	}
-}
-
+// TestStatsAggregation: the coordinator's Stats is the engine's snapshot
+// plus the durability counters only the coordinator knows — checkpoint
+// activity and the boot recovery outcome.
 func TestStatsAggregation(t *testing.T) {
-	c := newTestCoordinator(t, 3)
-	users := []string{"a", "b", "c", "d", "e", "f"}
+	dir := t.TempDir()
+	c := newTestCoordinator(t)
+	if st := c.Stats(); st.Checkpoints != nil || st.Recovery != nil {
+		t.Fatalf("durability counters before Recover: checkpoints %+v, recovery %+v", st.Checkpoints, st.Recovery)
+	}
+	if _, err := c.Recover(dir, journal.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer c.CloseJournals()
+	users := []string{"a", "b", "c"}
 	for _, u := range users {
 		if _, err := c.SetSession(u, []serve.Measurement{{Concept: "Weekend", Prob: 1}}); err != nil {
 			t.Fatal(err)
@@ -189,46 +65,44 @@ func TestStatsAggregation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := c.Stats()
-	if len(st.Shards) != 3 {
-		t.Fatalf("per-shard breakdown has %d entries, want 3", len(st.Shards))
+	c.checkpointTimed(dir, func(err error) { t.Fatal(err) })
+
+	st, own := c.Stats(), c.Server.Stats()
+	if st.Sessions != len(users) || st.Requests != int64(len(users)) || st.Rules != 1 {
+		t.Fatalf("stats %d sessions / %d requests / %d rules, want %d / %d / 1",
+			st.Sessions, st.Requests, st.Rules, len(users), len(users))
 	}
-	if st.Sessions != len(users) {
-		t.Fatalf("aggregate sessions = %d, want %d", st.Sessions, len(users))
+	if st.Sessions != own.Sessions || st.Epoch != own.Epoch || st.Journal == nil {
+		t.Fatalf("coordinator stats do not carry the engine's: %+v vs %+v", st, own)
 	}
-	if st.Requests != int64(len(users)) {
-		t.Fatalf("aggregate requests = %d, want %d", st.Requests, len(users))
+	if st.Recovery == nil || st.Recovery.Records != 0 {
+		t.Fatalf("recovery stats %+v, want an empty boot", st.Recovery)
 	}
-	var sum int64
-	for _, sh := range st.Shards {
-		sum += sh.Requests
+	if st.Checkpoints == nil || st.Checkpoints.Count != 1 || st.Checkpoints.LastUnix == 0 {
+		t.Fatalf("checkpoint stats %+v, want one completed checkpoint", st.Checkpoints)
 	}
-	if sum != st.Requests {
-		t.Fatalf("per-shard requests sum %d != aggregate %d", sum, st.Requests)
-	}
-	if st.Rules != 1 {
-		t.Fatalf("aggregate rules = %d, want 1 (replicated, not summed)", st.Rules)
-	}
-	if st.Broadcast == nil || st.Broadcast.Writes != 3 {
-		t.Fatalf("broadcast stats = %+v, want 3 writes (declare, assert, rules)", st.Broadcast)
-	}
-	if st.Broadcast.MeanMicros <= 0 || st.Broadcast.MaxMicros < st.Broadcast.MeanMicros {
-		t.Fatalf("broadcast latency not recorded: %+v", st.Broadcast)
+	if st.Health == nil || st.Health.State != serve.StateHealthy {
+		t.Fatalf("health %+v, want healthy", st.Health)
 	}
 }
 
 // TestShardSoakConcurrentAppliesAndRanks is the -race soak: concurrent
-// session applies and ranks spread across shards, plus periodic broadcast
-// writes, must neither race nor deadlock, and every shard must stay
-// consistent with the replicated rule set afterwards.
+// session applies and ranks, vocabulary writes and checkpoints on one
+// journaled engine must neither race nor deadlock, and the engine must
+// keep its rule set and every write afterwards.
 func TestShardSoakConcurrentAppliesAndRanks(t *testing.T) {
-	c := newTestCoordinator(t, 4)
+	dir := t.TempDir()
+	c := newTestCoordinator(t)
+	if _, err := c.Recover(dir, journal.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer c.CloseJournals()
 	workers, iters := 8, 60
 	if testing.Short() {
 		workers, iters = 4, 20
 	}
 	var wg sync.WaitGroup
-	errc := make(chan error, workers+1)
+	errc := make(chan error, workers+2)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -247,14 +121,22 @@ func TestShardSoakConcurrentAppliesAndRanks(t *testing.T) {
 			}
 		}(w)
 	}
-	// Broadcast writer: keeps the cross-shard path under contention.
-	wg.Add(1)
+	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters/2; i++ {
 			a := []serve.RoleAssertion{{Role: "hasGenre", Src: "Oprah", Dst: fmt.Sprintf("soakgenre%d", i), Prob: 0.9}}
 			if _, err := c.Assert(nil, a); err != nil {
-				errc <- fmt.Errorf("broadcast assert: %w", err)
+				errc <- fmt.Errorf("assert: %w", err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 3; i++ {
+			if err := c.Checkpoint(dir); err != nil {
+				errc <- fmt.Errorf("checkpoint: %w", err)
 				return
 			}
 		}
@@ -264,9 +146,38 @@ func TestShardSoakConcurrentAppliesAndRanks(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
-	for i := 0; i < c.N(); i++ {
-		if got := len(c.Shard(i).Rules()); got != 1 {
-			t.Fatalf("shard %d rules = %d after soak, want 1", i, got)
-		}
+	if got := len(c.Rules()); got != 1 {
+		t.Fatalf("rules = %d after soak, want 1", got)
+	}
+	res, err := c.Query("SELECT src FROM r_hasGenre")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 1 + iters/2; len(res.Rows) != want {
+		t.Fatalf("hasGenre holds %d rows after soak, want %d", len(res.Rows), want)
+	}
+}
+
+// TestRankFaultSurfacesWithoutQuarantine: a rank.serve fault fails the
+// request it hits and nothing else — the server stays healthy and the
+// next rank succeeds.
+func TestRankFaultSurfacesWithoutQuarantine(t *testing.T) {
+	c := newTestCoordinator(t)
+	in := faultinject.New(1)
+	c.SetFaultInjector(in)
+	if err := in.Arm(faultinject.Fault{Point: faultinject.RankServe, Err: "EIO", Count: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Rank("peter", "TvProgram", contextrank.RankOptions{}); err == nil {
+		t.Fatal("armed rank fault did not fire")
+	}
+	if _, _, err := c.RankBatch("peter", "", []serve.RankItem{{Target: "TvProgram"}}); err == nil {
+		t.Fatal("armed rank fault did not fire on the batch path")
+	}
+	if st := c.Stats(); st.Health.State != serve.StateHealthy {
+		t.Fatalf("read fault changed health: %+v", st.Health)
+	}
+	if _, _, err := c.Rank("peter", "TvProgram", contextrank.RankOptions{}); err != nil {
+		t.Fatalf("rank after fault exhausted: %v", err)
 	}
 }

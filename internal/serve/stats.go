@@ -15,8 +15,8 @@ const latencyWindow = 4096
 // recorder counts into, alongside the percentile ring. They cover the
 // rank path's realistic range — a cache hit lands in the first buckets, a
 // cold factorized rank in the middle, and anything past 2.5s is tail
-// trouble — and being fixed they merge across shards by simple addition,
-// which the percentile ring cannot.
+// trouble — and being fixed they export as a cumulative Prometheus
+// histogram, which the percentile ring cannot.
 var rankLatencyBounds = [...]float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
@@ -101,53 +101,4 @@ func (r *latencyRecorder) snapshot() LatencyStats {
 	st.P95Micros = quantile(0.95)
 	st.P99Micros = quantile(0.99)
 	return st
-}
-
-// Merge folds other into a combined view of several recorders' stats —
-// the shard coordinator uses it to aggregate per-shard latency: counts
-// add, the mean is count-weighted, and each percentile takes the worst
-// (largest) shard's value — an upper bound, since exact percentile
-// merging would need the raw windows.
-func (s LatencyStats) Merge(other LatencyStats) LatencyStats {
-	out := LatencyStats{
-		Count:  s.Count + other.Count,
-		Window: s.Window + other.Window,
-	}
-	if out.Count > 0 {
-		out.MeanMicros = (s.MeanMicros*float64(s.Count) + other.MeanMicros*float64(other.Count)) / float64(out.Count)
-	}
-	out.P50Micros = maxFloat(s.P50Micros, other.P50Micros)
-	out.P95Micros = maxFloat(s.P95Micros, other.P95Micros)
-	out.P99Micros = maxFloat(s.P99Micros, other.P99Micros)
-	out.Buckets = mergeBuckets(s.Buckets, other.Buckets)
-	return out
-}
-
-// mergeBuckets adds two raw bucket-count vectors elementwise; fixed
-// bounds make the histogram the one latency statistic that merges
-// exactly across shards.
-func mergeBuckets(a, b []int64) []int64 {
-	if len(a) == 0 {
-		return append([]int64(nil), b...)
-	}
-	if len(b) == 0 {
-		return append([]int64(nil), a...)
-	}
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
-	}
-	out := make([]int64, n)
-	copy(out, a)
-	for i, v := range b {
-		out[i] += v
-	}
-	return out
-}
-
-func maxFloat(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -72,9 +72,6 @@ type SubscriptionInfo struct {
 	Events int64  `json:"events"`
 	// Attached reports whether an SSE consumer is currently connected.
 	Attached bool `json:"attached"`
-	// Shard is the shard currently holding the subscription (0 on an
-	// unsharded server; filled by the coordinator).
-	Shard int `json:"shard"`
 }
 
 // SubResult is one (id, score) pair in a snapshot or resync event.
@@ -220,17 +217,6 @@ type SubscriptionStats struct {
 	// Lagged counts events dropped because the consumer was behind; each
 	// drop run ends in one resync snapshot.
 	Lagged int64 `json:"lagged"`
-}
-
-// Merge sums two stat blocks (coordinator aggregation).
-func (a SubscriptionStats) Merge(b SubscriptionStats) SubscriptionStats {
-	return SubscriptionStats{
-		Active:  a.Active + b.Active,
-		Events:  a.Events + b.Events,
-		Evals:   a.Evals + b.Evals,
-		Skipped: a.Skipped + b.Skipped,
-		Lagged:  a.Lagged + b.Lagged,
-	}
 }
 
 // subRegistry is a server's standing-subscription set plus the evaluator

@@ -445,7 +445,7 @@ func TestSubscriptionChurnRace(t *testing.T) {
 // retires and re-declares every session's context events, but it cannot
 // move user B's scores, so B's subscription must not be re-ranked. Its
 // state key is (facade epoch, B's applied fingerprint) — the rank cache's
-// validity rule — not the shard-wide context epoch every apply bumps.
+// validity rule — not the server-wide context epoch every apply bumps.
 // The background evaluator is kept from starting and each evaluator pass
 // runs synchronously, so the counts are exact.
 func TestSubscriptionIgnoresOtherUsersApplies(t *testing.T) {

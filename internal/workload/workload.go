@@ -51,27 +51,6 @@ func DefaultSpec() Spec {
 	}
 }
 
-// ServeSpec is the serving-layer contention dataset: many persons (the
-// axis session count — and therefore merged-apply cost — grows along) over
-// a small program catalog (so an individual rank recompute stays cheap).
-// The shard scaling curve uses it because sharding parallelizes and
-// shrinks per-user context applies, not per-rank scoring work: a spec
-// dominated by ranker cost (like DefaultSpec's 300 programs) would
-// measure the ranker, not the serving layer.
-func ServeSpec() Spec {
-	return Spec{
-		Seed:                 1,
-		Persons:              512,
-		Programs:             15,
-		Genres:               5,
-		Subjects:             3,
-		Activities:           2,
-		Rooms:                2,
-		WatchEvents:          400,
-		UncertainFeatureProb: 0.5,
-	}
-}
-
 // SmallSpec is a scaled-down dataset for unit tests.
 func SmallSpec() Spec {
 	return Spec{

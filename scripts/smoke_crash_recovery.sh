@@ -1,15 +1,14 @@
 #!/usr/bin/env bash
 # Crash-recovery smoke test for cmd/carserved: the CI proof that the
-# full-state write-ahead journal makes the daemon crash-safe. It boots 4
-# shards with -snapdir, applies per-user session contexts over HTTP AND
+# full-state write-ahead journal makes the daemon crash-safe. It boots
+# the daemon with -snapdir, applies per-user session contexts over HTTP AND
 # mutates the vocabulary mid-traffic (declare, assert, rule add, SQL
 # exec), records every user's context fingerprint, full rank scores, the
 # rule set and SQL row contents, then kill -9s the daemon mid-traffic (a
 # rank loop is running; no SIGTERM, no snapshot-on-shutdown) and reboots.
 # Recovery must be bit-identical across every dimension. The whole check
-# then repeats across a second kill -9 with a *different* -shards count,
-# proving journal replay reroutes sessions and deduplicates broadcast
-# records on reshard. A final leg runs the background checkpointer at a
+# then repeats across a second kill -9 mid-traffic, proving a recovered
+# journal generation recovers again. A final leg runs the background checkpointer at a
 # 1s interval, proves the WAL's vocabulary backlog is truncated to zero,
 # crashes once more, and shows snapshot + WAL-suffix recovery lands on
 # the same consistent point.
@@ -54,10 +53,8 @@ wait_healthy() {
 jget() { curl -fsS "$1" | jq -er "$2"; }
 jsend() { curl -fsS -X "$1" "$2" -d "$3" | jq -er "$4"; }
 
-boot() { # boot SHARDS [extra carserved flags...]
-  local shards=$1
-  shift
-  "$BIN" -addr "127.0.0.1:${PORT}" -shards "$shards" -preload small -rules 4 -snapdir "$SNAP" "$@" >>"$LOG" 2>&1 &
+boot() { # boot [extra carserved flags...]
+  "$BIN" -addr "127.0.0.1:${PORT}" -preload small -rules 4 -snapdir "$SNAP" "$@" >>"$LOG" 2>&1 &
   PID=$!
   wait_healthy
 }
@@ -123,8 +120,8 @@ assert_state() {
   done
 }
 
-echo "=== boot with -shards 4 -snapdir (saves a boot snapshot, arms the journal) ==="
-boot 4
+echo "=== boot with -snapdir (saves a boot snapshot, arms the journal) ==="
+boot
 grep -q "journal armed" "$LOG" || fail "no journal boot log line"
 [ -f "$SNAP/manifest.json" ] || fail "no boot snapshot written"
 [ -f "$SNAP/journal.manifest.json" ] || fail "no journal manifest written"
@@ -166,31 +163,29 @@ sleep 0.5
 crash
 stop_traffic
 
-echo "=== reboot at the same shard count: recovery must be bit-identical ==="
-boot 4
+echo "=== reboot: recovery must be bit-identical ==="
+boot
 grep -Eq "journal: replayed [0-9]+ records" "$LOG" || fail "no replay log line after crash"
 grep -Eq "vocabulary/DML replay: [1-9][0-9]* applied" "$LOG" || fail "no vocabulary replay log line"
-snapshot_state post4
-assert_state pre post4
+snapshot_state post1
+assert_state pre post1
 CODE=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/v1/sessions/ghost")
 [ "$CODE" = "404" ] || fail "dropped session resurrected by replay (status $CODE)"
 JLIVE=$(jget "$BASE/v1/stats" '.journal.live_records')
 [ "$JLIVE" -eq "$NUSERS" ] || fail "journal live records = $JLIVE, want $NUSERS"
 
-echo "=== kill -9 again, reboot at -shards 2: replay reroutes sessions ==="
+echo "=== kill -9 again mid-traffic: the recovered generation recovers again ==="
 start_traffic
 sleep 0.3
 crash
 stop_traffic
-boot 2
-GOT_SHARDS=$(jget "$BASE/v1/stats" '.shards | length')
-[ "$GOT_SHARDS" -eq 2 ] || fail "resharded daemon reports $GOT_SHARDS shards, want 2"
+boot
 snapshot_state post2
 assert_state pre post2
 
 echo "=== background checkpointer: WAL vocabulary backlog must truncate to zero ==="
 crash
-boot 2 -checkpoint-interval 1s -checkpoint-bytes 2048
+boot -checkpoint-interval 1s -checkpoint-bytes 2048
 for n in 101 102 103 104 105; do
   jsend POST "$BASE/v1/exec" "{\"sql\":\"INSERT INTO smoke_t (n) VALUES ($n)\"}" '.epoch' >/dev/null || fail "insert $n"
 done
@@ -206,7 +201,7 @@ done
 
 echo "=== kill -9 after the checkpoint: snapshot + WAL suffix recover one point ==="
 crash
-boot 2
+boot
 ROWS=$(curl -fsS -X POST "$BASE/v1/query" -d '{"sql":"SELECT n FROM smoke_t"}' | jq -er '.rows | length')
 [ "$ROWS" -eq 7 ] || fail "smoke_t holds $ROWS rows after checkpointed recovery, want 7"
 snapshot_state postckpt

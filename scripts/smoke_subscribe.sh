@@ -80,8 +80,8 @@ fresh_scores() {
   scoremap "$(curl -fsS -X POST "$BASE/v1/rank" -d "{\"user\":\"$1\",\"target\":\"TvProgram\",\"limit\":0}")"
 }
 
-echo "=== boot: 2 shards, journal, preload small ==="
-"$BIN" -addr "127.0.0.1:${PORT}" -shards 2 -preload small -rules 4 -snapdir "$SNAP" >>"$LOG" 2>&1 &
+echo "=== boot: journal, preload small ==="
+"$BIN" -addr "127.0.0.1:${PORT}" -preload small -rules 4 -snapdir "$SNAP" >>"$LOG" 2>&1 &
 PID=$!
 wait_healthy
 
@@ -133,7 +133,7 @@ curl -fsS "$BASE/metrics" | grep -q '^carserve_subscriptions_active 1' \
 echo "=== kill -9: the journaled subscription survives the crash ==="
 kill "$SSEPID" 2>/dev/null || true; wait "$SSEPID" 2>/dev/null || true; SSEPID=
 kill -9 "$PID"; wait "$PID" 2>/dev/null || true; PID=
-"$BIN" -addr "127.0.0.1:${PORT}" -shards 2 -preload none -snapdir "$SNAP" >>"$LOG" 2>&1 &
+"$BIN" -addr "127.0.0.1:${PORT}" -preload none -snapdir "$SNAP" >>"$LOG" 2>&1 &
 PID=$!
 wait_healthy
 RECSUBS=$(jget "$BASE/v1/stats" '.recovery.subscribes')
